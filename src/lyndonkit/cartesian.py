@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DuplicateEntry, EmptySequence, InternalError, NotLyndon, SizeMismatch
 from .lyndon import is_lyndon
 from .omega import omega_cmp
-from .trees import Leaf, MagmaTree, Node
+from .trees import Leaf, MagmaTree, Node, _leaves
 from .words import Ordering, Word, ensure_nonempty
 
 __all__ = [
@@ -69,13 +69,49 @@ class PrefixStandard:
         return len(self.sigma)
 
 
+def _z_array(ls: tuple[int, ...]) -> list[int]:
+    """z[i] is the length of the longest common prefix of ls and ls[i:]."""
+    n = len(ls)
+    z = [0] * n
+    z[0] = n
+    lo = hi = 0  # ls[lo:hi] is a copy of ls[:hi - lo], hi as large as found so far
+    for i in range(1, n):
+        k = min(z[i - lo], hi - i) if i < hi else 0
+        while i + k < n and ls[k] == ls[i + k]:
+            k += 1
+        z[i] = k
+        if i + k > hi:
+            lo, hi = i, i + k
+    return z
+
+
 def prefix_standard_permutation(w: Word) -> PrefixStandard:
-    """Rank every nonempty prefix of w under prec_cmp."""
+    """Rank every nonempty prefix of w under prec_cmp.
+
+    Prefixes p_i, p_j with i < j compare in the extension order as p_i p_j
+    against p_j p_i.  Both words start with p_i, so the comparison reads
+    w[0:j-i] against w[i:j], then w[j-i:j] against w[0:i]: two
+    longest-common-prefix lookups in the Z-array of w.  Equal products mean
+    equal extensions, and then the longer prefix ranks lower.
+    """
     ensure_nonempty(w)
-    n = len(w.letters)
-    by_rank = sorted(
-        range(1, n + 1), key=cmp_to_key(lambda i, j: prec_cmp(w[:i], w[:j]))
-    )
+    ls = w.letters
+    n = len(ls)
+    z = _z_array(ls)
+
+    def cmp(i: int, j: int) -> int:
+        if i > j:
+            return -cmp(j, i)
+        d = j - i
+        k = z[i]
+        if k < d:
+            return -1 if ls[k] < ls[i + k] else 1
+        k = z[d]
+        if k < i:
+            return -1 if ls[d + k] < ls[k] else 1
+        return 1
+
+    by_rank = sorted(range(1, n + 1), key=cmp_to_key(cmp))
     sigma = [0] * n
     for rank, length in enumerate(by_rank, start=1):
         sigma[length - 1] = rank
@@ -96,59 +132,66 @@ class DecreasingTree:
                 raise ValueError("child labels must be strictly smaller than the parent")
 
 
+def _stack_build(labels: Sequence[int], gaps: Sequence, join: Callable):
+    """Decreasing tree of distinct labels, built in one stack pass.
+
+    The stack holds a decreasing run of labels, each with its finished left
+    subtree.  A larger label pops the smaller ones, and each popped label
+    becomes the right subtree of the one under it.  gaps[k] fills the empty
+    slot just left of labels[k], and gaps[-1] the last slot;
+    join(label, left, right) makes a node.
+    """
+    stack: list[tuple[int, object]] = []
+    for label, sub in zip(labels, gaps):
+        while stack and stack[-1][0] < label:
+            top, left = stack.pop()
+            sub = join(top, left, sub)
+        stack.append((label, sub))
+    sub = gaps[len(labels)]
+    while stack:
+        top, left = stack.pop()
+        sub = join(top, left, sub)
+    return sub
+
+
 def decreasing_tree(alpha: Sequence[int]) -> DecreasingTree:
-    """Recursive construction: the maximum becomes the root, the rest recurse."""
+    """The maximum becomes the root, the entries on each side its subtrees."""
     entries = tuple(alpha)
     if not entries:
         raise EmptySequence("an empty sequence has no decreasing tree")
     if len(set(entries)) != len(entries):
         raise DuplicateEntry(f"entries are not pairwise distinct: {entries}")
-    return _build_decreasing(entries)
-
-
-def _build_decreasing(entries: tuple[int, ...]) -> DecreasingTree | None:
-    if not entries:
-        return None
-    i = entries.index(max(entries))
-    return DecreasingTree(
-        entries[i],
-        _build_decreasing(entries[:i]),
-        _build_decreasing(entries[i + 1:]),
-    )
+    return _stack_build(entries, [None] * (len(entries) + 1), DecreasingTree)
 
 
 def in_order_labels(tree: DecreasingTree | None) -> tuple[int, ...]:
     """Left-to-right projection; inverts decreasing_tree."""
-    if tree is None:
-        return ()
-    return in_order_labels(tree.left) + (tree.label,) + in_order_labels(tree.right)
-
-
-def _internal_size(tree: DecreasingTree | None) -> int:
-    if tree is None:
-        return 0
-    return _internal_size(tree.left) + 1 + _internal_size(tree.right)
+    labels = []
+    stack: list[DecreasingTree] = []
+    while stack or tree is not None:
+        while tree is not None:
+            stack.append(tree)
+            tree = tree.left
+        tree = stack.pop()
+        labels.append(tree.label)
+        tree = tree.right
+    return tuple(labels)
 
 
 def completion(skeleton: DecreasingTree, w: Word) -> MagmaTree:
     """The unique complete tree with the skeleton as its internal nodes.
 
     In-order positions interleave leaves and internal nodes, so a skeleton
-    of n nodes needs exactly the n + 1 letters of w as leaves.
+    of n nodes needs exactly the n + 1 letters of w as leaves.  The
+    skeleton is the decreasing tree of its in-order labels, so rebuilding
+    it from them with letters in the empty slots completes it.
     """
-    size = _internal_size(skeleton)
-    if size != len(w.letters) - 1:
+    labels = in_order_labels(skeleton)
+    if len(labels) != len(w.letters) - 1:
         raise SizeMismatch(
-            f"skeleton has {size} nodes but the word has {len(w.letters)} letters"
+            f"skeleton has {len(labels)} nodes but the word has {len(w.letters)} letters"
         )
-    return _complete(skeleton, w, 0)
-
-
-def _complete(tree: DecreasingTree | None, w: Word, offset: int) -> MagmaTree:
-    if tree is None:
-        return Leaf(w[offset:offset + 1])
-    split = offset + _internal_size(tree.left) + 1
-    return Node(_complete(tree.left, w, offset), _complete(tree.right, w, split))
+    return _stack_build(labels, _leaves(w), lambda _, left, right: Node(left, right))
 
 
 def left_cartesian_tree(w: Word) -> MagmaTree:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -16,12 +17,13 @@ from .cartesian import left_cartesian_tree, prefix_standard_permutation
 from .errors import LyndonKitError
 from .lyndon import (
     first_lyndon_factor,
+    is_lyndon,
     last_lyndon_factor,
     lyndon_factorization,
 )
 from .omega import omega_cmp, six_conditions
 from .oracle import CHECK_NAMES, verify_word
-from .trees import Leaf, MagmaTree, Node, internal_addresses, left_foliage, left_lyndon_tree, right_lyndon_tree, subtree_at
+from .trees import Leaf, MagmaTree, Node, left_lyndon_tree, right_lyndon_tree
 from .words import Ordering, OrderedAlphabet, Word, iter_all_words, lex_cmp, make_word, nontrivial_splits
 
 __all__ = ["main", "format_tree", "parse_tree", "render_dot"]
@@ -73,30 +75,34 @@ def render_dot(tree: MagmaTree) -> str:
     Internal nodes are labeled with their left foliage, leaves with
     their letter, so the output is byte-stable for a given tree.
     """
-    ids: dict[str, str] = {}
-    order: list[str] = []
-
-    def visit(node: MagmaTree, address: str) -> None:
-        ids[address] = f"n{len(ids)}"
-        order.append(address)
-        if isinstance(node, Node):
-            visit(node.left, address + "L")
-            visit(node.right, address + "R")
-
-    visit(tree, "")
-    lines = ["digraph {"]
-    for address in order:
-        node = subtree_at(tree, address)
+    # One pre-order walk.  Leaves arrive left to right, so when a node's
+    # right child comes up, the leaves seen so far are its left foliage.
+    spans: list[tuple[int, int]] = []  # each label as a slice of the foliage
+    right: list[int] = []  # pre-order id of the right child; -1 for a leaf
+    letters: list[str] = []
+    stack: list[tuple[MagmaTree, int]] = [(tree, -1)]
+    while stack:
+        node, parent = stack.pop()
+        me = len(spans)
+        if parent >= 0:
+            spans[parent] = (0, len(letters))
+            right[parent] = me
+        spans.append((len(letters), len(letters) + 1))
+        right.append(-1)
         if isinstance(node, Leaf):
-            label = node.letter.text()
+            letters.append(node.letter.text())
         else:
-            label = left_foliage(tree, address).text()
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  {ids[address]} [label="{label}"];')
-    for address in order:
-        if isinstance(subtree_at(tree, address), Node):
-            lines.append(f"  {ids[address]} -> {ids[address + 'L']};")
-            lines.append(f"  {ids[address]} -> {ids[address + 'R']};")
+            stack.append((node.right, me))
+            stack.append((node.left, -1))
+    text = "".join(letters)
+    lines = ["digraph {"]
+    for me, (start, stop) in enumerate(spans):
+        label = text[start:stop].replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{me} [label="{label}"];')
+    for me, child in enumerate(right):
+        if child >= 0:
+            lines.append(f"  n{me} -> n{me + 1};")
+            lines.append(f"  n{me} -> n{child};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -111,11 +117,6 @@ def _alphabet_for(symbols: str | None, *texts: str) -> OrderedAlphabet:
     return OrderedAlphabet(seen)
 
 
-def _six_rows(u: Word, v: Word) -> list[tuple[str, bool]]:
-    six = six_conditions(u, v)
-    return list(zip(_SIX_LABELS, six))
-
-
 def _emit(text: str) -> None:
     print(text)
 
@@ -125,17 +126,15 @@ def cmd_compare(args) -> int:
     u = make_word(args.u, alphabet)
     v = make_word(args.v, alphabet)
     result = omega_cmp(u, v)
+    six = six_conditions(u, v) if args.six else None
     if args.format == "structured":
         doc = {
             "outcome": result.outcome.name.lower(),
             "mismatch_position": result.mismatch_position,
             "common_root": None if result.common_root is None else result.common_root.text(),
         }
-        if args.six:
-            doc["six"] = {
-                name: value
-                for name, value in zip(six_conditions(u, v)._fields, six_conditions(u, v))
-            }
+        if six is not None:
+            doc["six"] = dict(zip(six._fields, six))
         _emit(json.dumps(doc))
         return 0
     if result.outcome is Ordering.EQUAL:
@@ -143,8 +142,8 @@ def cmd_compare(args) -> int:
     else:
         sign = "<ω" if result.outcome is Ordering.LESS else ">ω"
         _emit(f"{u.text()} {sign} {v.text()}, mismatch at {result.mismatch_position}")
-    if args.six:
-        for label, value in _six_rows(u, v):
+    if six is not None:
+        for label, value in zip(_SIX_LABELS, six):
             _emit(f"{label}: {'true' if value else 'false'}")
     return 0
 
@@ -198,11 +197,9 @@ def cmd_pstd(args) -> int:
     return 0
 
 
-def _lyndon_violation(w: Word) -> tuple[Word, Word] | None:
-    for u, v in nontrivial_splits(w):
-        if lex_cmp(u, v) is not Ordering.LESS:
-            return u, v
-    return None
+def _lyndon_violation(w: Word) -> tuple[Word, Word]:
+    """The first split w = uv with u >= v; w must not be Lyndon."""
+    return next((u, v) for u, v in nontrivial_splits(w) if lex_cmp(u, v) is not Ordering.LESS)
 
 
 def _tree_structured(tree: MagmaTree):
@@ -214,9 +211,8 @@ def _tree_structured(tree: MagmaTree):
 def cmd_tree(args) -> int:
     alphabet = _alphabet_for(args.alphabet, args.w)
     w = make_word(args.w, alphabet)
-    violation = _lyndon_violation(w)
-    if violation is not None:
-        u, v = violation
+    if not is_lyndon(w):
+        u, v = _lyndon_violation(w)
         print(
             f"not Lyndon: split {u.text()}|{v.text()} has u ≥ v",
             file=sys.stderr,
@@ -260,18 +256,22 @@ def cmd_verify(args) -> int:
     if args.max_len < 1:
         print("--max-len must be at least 1", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("--jobs must be at least 1", file=sys.stderr)
+        return 2
+    jobs = min(args.jobs, os.cpu_count() or 1)
     symbols = args.alphabet if args.alphabet is not None else "ab"
     alphabet = OrderedAlphabet(symbols)
     words = [w.text() for w in iter_all_words(alphabet, args.max_len)]
-    if args.jobs > 1:
-        executor = ProcessPoolExecutor(max_workers=args.jobs)
+    if jobs > 1:
+        executor = ProcessPoolExecutor(max_workers=jobs)
         with executor:
             reports = list(
                 executor.map(
                     _verify_one,
                     [symbols] * len(words),
                     words,
-                    chunksize=max(1, len(words) // (4 * args.jobs)),
+                    chunksize=max(1, len(words) // (4 * jobs)),
                 )
             )
     else:

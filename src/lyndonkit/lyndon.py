@@ -53,11 +53,55 @@ class LyndonFactorization:
         return iter(self.factors)
 
 
+def _lyndon_prefix_lengths(ls: tuple[int, ...]) -> list[int]:
+    """Lengths of all Lyndon prefixes of a nonempty letter tuple, ascending.
+
+    Duval's inner scan from position 0: ls[:j] stays a prefix of a power of
+    the Lyndon word ls[:j - k].  A larger letter makes ls[:j + 1] Lyndon, an
+    equal one extends the power, and a smaller one ends every longer
+    Lyndon prefix.
+    """
+    lengths = [1]
+    k = 0
+    for j in range(1, len(ls)):
+        a, b = ls[k], ls[j]
+        if a < b:
+            k = 0
+            lengths.append(j + 1)
+        elif a == b:
+            k += 1
+        else:
+            break
+    return lengths
+
+
+def _duval_cuts(ls: tuple[int, ...], lo: int, hi: int) -> list[int]:
+    """Start offsets of the Duval factors of ls[lo:hi], followed by hi."""
+    cuts = []
+    i = lo
+    while i < hi:
+        # Grow the window while ls[i:j] stays a prefix of a power of a
+        # Lyndon word; k trails the position being matched against.
+        j, k = i + 1, i
+        while j < hi and ls[k] <= ls[j]:
+            k = i if ls[k] < ls[j] else k + 1
+            j += 1
+        step = j - k
+        while i <= k:
+            cuts.append(i)
+            i += step
+    cuts.append(hi)
+    return cuts
+
+
 def is_lyndon(w: Word) -> bool:
-    """Every nontrivial split w = uv has u < v; single letters pass vacuously."""
+    """Every nontrivial split w = uv has u < v; single letters pass vacuously.
+
+    Equivalently, w is its own longest Lyndon prefix.
+    """
     ensure_nonempty(w)
     ls = w.letters
-    return all(ls[:i] < ls[i:] for i in range(1, len(ls)))
+    return _lyndon_prefix_lengths(ls)[-1] == len(ls)
 
 
 def is_lyndon_via_suffixes(w: Word) -> bool:
@@ -103,22 +147,8 @@ def is_lyndon_prefix_omega(w: Word) -> bool:
 def lyndon_factorization(w: Word) -> LyndonFactorization:
     """The unique nonincreasing factorization into Lyndon words (Duval's scan)."""
     ensure_nonempty(w)
-    ls = w.letters
-    n = len(ls)
-    factors: list[Word] = []
-    i = 0
-    while i < n:
-        # Grow the window while ls[i:j] stays a prefix of a power of a
-        # Lyndon word; k trails the position being matched against.
-        j, k = i + 1, i
-        while j < n and ls[k] <= ls[j]:
-            k = i if ls[k] < ls[j] else k + 1
-            j += 1
-        step = j - k
-        while i <= k:
-            factors.append(w[i:i + step])
-            i += step
-    return LyndonFactorization(tuple(factors))
+    cuts = _duval_cuts(w.letters, 0, len(w.letters))
+    return LyndonFactorization(tuple(w[a:b] for a, b in zip(cuts, cuts[1:])))
 
 
 def first_lyndon_factor(w: Word) -> Word:

@@ -11,11 +11,11 @@ path from the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
-from .lyndon import is_lyndon
-from .words import Word
+from .lyndon import _duval_cuts, _lyndon_prefix_lengths, is_lyndon
+from .words import Word, ensure_nonempty
 
 __all__ = [
     "Leaf",
@@ -62,53 +62,102 @@ def foliage(tree: MagmaTree) -> Word:
     return foliage(tree.left) + foliage(tree.right)
 
 
+def _leaves(w: Word) -> list[Leaf]:
+    """One leaf per letter of w; equal letters share one Leaf object."""
+    shared = {x: Leaf(Word(w.alphabet, (x,))) for x in set(w.letters)}
+    return [shared[x] for x in w.letters]
+
+
 def left_standard_factorization(w: Word) -> tuple[Word, Word]:
     """Split w = uv where u is the longest nonempty proper Lyndon prefix.
 
     Both parts of the result are Lyndon again.
     """
-    if not is_lyndon(w):
+    ensure_nonempty(w)
+    lengths = _lyndon_prefix_lengths(w.letters)
+    if lengths[-1] != len(w.letters):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
     if len(w.letters) < 2:
         raise TooShort("single letters have no standard factorization")
-    for i in range(len(w.letters) - 1, 0, -1):
-        u = w[:i]
-        if is_lyndon(u):
-            return u, w[i:]
-    raise AssertionError("unreachable: a single letter is always Lyndon")
+    return w[:lengths[-2]], w[lengths[-2]:]
+
+
+def _smallest_proper_suffix(ls: tuple[int, ...], lo: int, hi: int) -> int:
+    # The last Duval factor of a word is its smallest suffix.
+    return _duval_cuts(ls, lo + 1, hi)[-2]
 
 
 def right_standard_factorization(w: Word) -> tuple[Word, Word]:
-    """Split w = uv where v is the longest proper nonempty Lyndon suffix."""
+    """Split w = uv where v is the longest proper nonempty Lyndon suffix.
+
+    For a Lyndon word that suffix is also the smallest proper suffix.
+    """
     if not is_lyndon(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    if len(w.letters) < 2:
+    n = len(w.letters)
+    if n < 2:
         raise TooShort("single letters have no standard factorization")
-    for i in range(1, len(w.letters)):
-        v = w[i:]
-        if is_lyndon(v):
-            return w[:i], v
-    raise AssertionError("unreachable: the last letter alone is Lyndon")
+    cut = _smallest_proper_suffix(w.letters, 0, n)
+    return w[:cut], w[cut:]
+
+
+def _build_blocks(w: Word, spine: Callable[[int, int], list[int]]) -> MagmaTree:
+    """Tree over w grown from blocks w[lo:hi], without recursion.
+
+    spine(lo, hi) returns cuts lo < c_1 < ... < c_m = hi of a block of two
+    or more letters; the block's tree is the left fold of the trees of its
+    parts w[lo:c_1], w[c_1:c_2], ..., w[c_(m-1):hi].
+    """
+    leaves = _leaves(w)
+    blocks = [(0, len(w.letters))]
+    first_part = []
+    # Breadth first: the parts of a block are appended next to each other.
+    for lo, hi in blocks:
+        first_part.append(len(blocks))
+        if hi - lo > 1:
+            cuts = spine(lo, hi)
+            blocks.extend(zip([lo] + cuts, cuts))
+    first_part.append(len(blocks))
+    # Parts come after their block, so building back to front finds them done.
+    built: list[MagmaTree] = [None] * len(blocks)  # type: ignore[list-item]
+    for index in range(len(blocks) - 1, -1, -1):
+        parts = range(first_part[index], first_part[index + 1])
+        if not parts:
+            built[index] = leaves[blocks[index][0]]
+            continue
+        tree = built[parts[0]]
+        for part in parts[1:]:
+            tree = Node(tree, built[part])
+        built[index] = tree
+    return built[0]
 
 
 def left_lyndon_tree(w: Word) -> MagmaTree:
-    """Iterate the left standard factorization down to single letters."""
+    """Iterate the left standard factorization down to single letters.
+
+    The Lyndon prefixes of a prefix u of a block are the block's Lyndon
+    prefixes shorter than u, so one prefix scan gives the whole left spine
+    of the block's tree; the Lyndon words between consecutive spine cuts
+    are the right children, scanned in turn.
+    """
     if not is_lyndon(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    if len(w.letters) == 1:
-        return Leaf(w)
-    u, v = left_standard_factorization(w)
-    return Node(left_lyndon_tree(u), left_lyndon_tree(v))
+    ls = w.letters
+    return _build_blocks(
+        w, lambda lo, hi: [lo + k for k in _lyndon_prefix_lengths(ls[lo:hi])]
+    )
 
 
 def right_lyndon_tree(w: Word) -> MagmaTree:
-    """Iterate the right standard factorization down to single letters."""
+    """Iterate the right standard factorization down to single letters.
+
+    Each block splits before its smallest proper suffix, found with one
+    Duval scan.
+    """
     if not is_lyndon(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    if len(w.letters) == 1:
-        return Leaf(w)
-    u, v = right_standard_factorization(w)
-    return Node(right_lyndon_tree(u), right_lyndon_tree(v))
+    ls = w.letters
+    return _build_blocks(w, lambda lo, hi: [_smallest_proper_suffix(ls, lo, hi), hi])
 
 
 def _check_address(address: str) -> None:

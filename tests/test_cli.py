@@ -74,6 +74,26 @@ class TestCompare:
         }
         assert not any(doc["six"].values())
 
+    def test_structured_six_computes_the_table_once(self, monkeypatch):
+        import lyndonkit.cli
+
+        calls = []
+        real = lyndonkit.cli.six_conditions
+
+        def counted(u, v):
+            calls.append((u, v))
+            return real(u, v)
+
+        monkeypatch.setattr("lyndonkit.cli.six_conditions", counted)
+        code, out, _ = run_cli(["compare", "aab", "ab", "--format", "structured", "--six"])
+        assert code == 0
+        assert len(calls) == 1
+        assert out == (
+            '{"outcome": "less", "mismatch_position": 2, "common_root": null, '
+            '"six": {"u_lt_v": true, "uv_lt_v": true, "u_lt_vu": true, '
+            '"uv_lt_vu": true, "u_lt_uv": true, "vu_lt_v": true}}\n'
+        )
+
     def test_reversed_alphabet_flips(self):
         code, out, _ = run_cli(["compare", "b", "ba", "--alphabet", "ba"])
         assert code == 0
@@ -208,6 +228,15 @@ class TestTree:
         assert code == 0
         assert '  n0 [label="aabaac"];' in out.splitlines()
 
+    def test_lyndon_word_skips_the_split_search(self, monkeypatch):
+        def fail(word):
+            raise AssertionError("split search ran on a Lyndon word")
+
+        monkeypatch.setattr("lyndonkit.cli._lyndon_violation", fail)
+        code, out, _ = run_cli(["tree", "aabab"])
+        assert code == 0
+        assert out == "((a,(a,b)),(a,b))\nleft == cartesian: equal\n"
+
     def test_divergence_exits_1(self, monkeypatch):
         monkeypatch.setattr(
             "lyndonkit.cli.left_cartesian_tree",
@@ -269,6 +298,39 @@ class TestVerify:
         code1, out1, _ = run_cli(["verify", "--max-len", "4"])
         code2, out2, _ = run_cli(["verify", "--max-len", "4", "--jobs", "2"])
         assert (code1, out1) == (code2, out2) == (0, out1)
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in ("0", "-3"):
+            code, out, err = run_cli(["verify", "--max-len", "3", "--jobs", jobs])
+            assert code == 2
+            assert out == ""
+            assert err == "--jobs must be at least 1\n"
+
+    def test_jobs_clamped_to_cpu_count(self, monkeypatch):
+        made = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("lyndonkit.cli.ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr("lyndonkit.cli.os.cpu_count", lambda: 3)
+        serial = run_cli(["verify", "--max-len", "4"])
+        assert made == []
+        assert run_cli(["verify", "--max-len", "4", "--jobs", "64"]) == serial
+        assert made == [3]
+        monkeypatch.setattr("lyndonkit.cli.os.cpu_count", lambda: None)
+        assert run_cli(["verify", "--max-len", "4", "--jobs", "64"]) == serial
+        assert made == [3]
 
     def test_failure_exits_1(self, monkeypatch):
         def broken(word):

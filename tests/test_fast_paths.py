@@ -1,0 +1,271 @@
+"""The tree pipeline's fast paths against independent references.
+
+Each fast routine is compared with a slow one written from the definition:
+exhaustively on every word of up to 10 letters over ``ab`` and ``abc``, on
+the benchmark's word families (random, comb, Christoffel) at small sizes,
+and on hypothesis-drawn Lyndon words.  The last class builds trees of
+2,000-letter words, far deeper than the interpreter's recursion limit.
+"""
+
+import itertools
+import random
+from functools import cmp_to_key
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from lyndonkit import (
+    DecreasingTree,
+    Leaf,
+    Node,
+    OrderedAlphabet,
+    Word,
+    completion,
+    decreasing_tree,
+    in_order_labels,
+    internal_addresses,
+    is_lyndon,
+    is_lyndon_via_rotations,
+    left_cartesian_tree,
+    left_foliage,
+    left_lyndon_tree,
+    left_lyndon_tree_naive,
+    left_standard_factorization,
+    prec_cmp,
+    prefix_standard_permutation,
+    render_dot,
+    right_lyndon_tree,
+    right_standard_factorization,
+    subtree_at,
+)
+
+from .strategies import BINARY, TERNARY, words
+
+EXHAUSTIVE_LEN = 10
+
+
+def all_words(alphabet: OrderedAlphabet, max_len: int = EXHAUSTIVE_LEN):
+    for n in range(1, max_len + 1):
+        for letters in itertools.product(range(len(alphabet)), repeat=n):
+            yield Word(alphabet, letters)
+
+
+def _rotation_lyndon(letters) -> bool:
+    return all(letters < letters[i:] + letters[:i] for i in range(1, len(letters)))
+
+
+def all_lyndon_words(alphabet: OrderedAlphabet, max_len: int = EXHAUSTIVE_LEN):
+    return [w for w in all_words(alphabet, max_len) if _rotation_lyndon(w.letters)]
+
+
+def lyndon_conjugate(word: Word) -> Word | None:
+    """The least rotation of a primitive word, which is Lyndon; else None."""
+    ls = word.letters
+    rotations = [ls[i:] + ls[:i] for i in range(len(ls))]
+    if len(set(rotations)) != len(ls):
+        return None
+    return Word(word.alphabet, min(rotations))
+
+
+def comb(n: int) -> Word:
+    return Word(BINARY, (0,) * (n - 1) + (1,))
+
+
+def christoffel(a_count: int, b_count: int) -> Word:
+    """Lower Christoffel word with a_count a's and b_count b's (coprime)."""
+    n = a_count + b_count
+    return Word(BINARY, tuple(int((i + 1) * b_count // n > i * b_count // n) for i in range(n)))
+
+
+def random_lyndon(rng: random.Random, n: int, alphabet: OrderedAlphabet) -> Word:
+    while True:
+        word = Word(alphabet, [rng.randrange(len(alphabet)) for _ in range(n)])
+        conjugate = lyndon_conjugate(word)
+        if conjugate is not None:
+            return conjugate
+
+
+def family_words():
+    """The benchmark's four Lyndon word families, at small sizes."""
+    rng = random.Random(2019)
+    out = []
+    for n in (2, 3, 5, 8, 13, 21, 34, 55):
+        out.append(random_lyndon(rng, n, BINARY))
+        out.append(random_lyndon(rng, n, TERNARY))
+        out.append(comb(n))
+    for a_count, b_count in ((1, 1), (2, 1), (3, 2), (5, 3), (8, 5), (13, 8), (21, 13), (34, 21), (7, 4)):
+        out.append(christoffel(a_count, b_count))
+    return out
+
+
+lyndon_words = words(TERNARY, max_size=40).map(lyndon_conjugate).filter(lambda w: w is not None)
+
+
+# ---- references, written from the definitions -------------------------------
+
+
+def ranks_by_prec(w: Word) -> tuple[int, ...]:
+    """Prefix lengths sorted by prec_cmp on the prefixes themselves."""
+    return tuple(
+        sorted(range(1, len(w) + 1), key=cmp_to_key(lambda i, j: prec_cmp(w[:i], w[:j])))
+    )
+
+
+def decreasing_by_max_split(entries):
+    if not entries:
+        return None
+    i = entries.index(max(entries))
+    return DecreasingTree(
+        entries[i],
+        decreasing_by_max_split(entries[:i]),
+        decreasing_by_max_split(entries[i + 1:]),
+    )
+
+
+def completion_by_sizes(tree, w: Word, offset: int = 0):
+    def size(t):
+        return 0 if t is None else size(t.left) + 1 + size(t.right)
+
+    if tree is None:
+        return Leaf(w[offset:offset + 1])
+    split = offset + size(tree.left) + 1
+    return Node(completion_by_sizes(tree.left, w, offset), completion_by_sizes(tree.right, w, split))
+
+
+def right_tree_by_smallest_suffix(w: Word):
+    if len(w) == 1:
+        return Leaf(w)
+    cut = min(range(1, len(w)), key=lambda i: w.letters[i:])
+    return Node(right_tree_by_smallest_suffix(w[:cut]), right_tree_by_smallest_suffix(w[cut:]))
+
+
+def dot_by_addresses(tree) -> str:
+    """DOT rendering that resolves every node by address from the root."""
+    order = []
+
+    def visit(node, address):
+        order.append(address)
+        if isinstance(node, Node):
+            visit(node.left, address + "L")
+            visit(node.right, address + "R")
+
+    visit(tree, "")
+    ids = {address: f"n{k}" for k, address in enumerate(order)}
+    lines = ["digraph {"]
+    for address in order:
+        node = subtree_at(tree, address)
+        if isinstance(node, Leaf):
+            label = node.letter.text()
+        else:
+            label = left_foliage(tree, address).text()
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {ids[address]} [label="{label}"];')
+    for address in internal_addresses(tree):
+        lines.append(f"  {ids[address]} -> {ids[address + 'L']};")
+        lines.append(f"  {ids[address]} -> {ids[address + 'R']};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+# ---- per-word agreement checks -----------------------------------------------
+
+
+def check_word(w: Word) -> None:
+    assert is_lyndon(w) == is_lyndon_via_rotations(w), w
+    ranks = prefix_standard_permutation(w)
+    assert ranks.inverse == ranks_by_prec(w), w
+
+
+def check_lyndon_word(w: Word) -> None:
+    sigma = prefix_standard_permutation(w).sigma
+    if len(w) > 1:
+        skeleton = decreasing_tree(sigma[:-1])
+        assert skeleton == decreasing_by_max_split(sigma[:-1]), w
+        assert completion(skeleton, w) == completion_by_sizes(skeleton, w), w
+        u, v = left_standard_factorization(w)
+        cut = max(i for i in range(1, len(w)) if _rotation_lyndon(w.letters[:i]))
+        assert (u, v) == (w[:cut], w[cut:]), w
+        u, v = right_standard_factorization(w)
+        cut = min(range(1, len(w)), key=lambda i: w.letters[i:])
+        assert (u, v) == (w[:cut], w[cut:]), w
+    left = left_lyndon_tree(w)
+    assert left == left_lyndon_tree_naive(w), w
+    assert left_cartesian_tree(w) == left, w
+    right = right_lyndon_tree(w)
+    assert right == right_tree_by_smallest_suffix(w), w
+    for tree in (left, right):
+        assert render_dot(tree) == dot_by_addresses(tree), w
+
+
+class TestExhaustive:
+    @pytest.mark.parametrize("alphabet", [BINARY, TERNARY], ids=["ab", "abc"])
+    def test_every_word(self, alphabet):
+        for w in all_words(alphabet):
+            check_word(w)
+
+    @pytest.mark.parametrize("alphabet", [BINARY, TERNARY], ids=["ab", "abc"])
+    def test_every_lyndon_word(self, alphabet):
+        for w in all_lyndon_words(alphabet):
+            check_lyndon_word(w)
+
+
+class TestWordFamilies:
+    def test_families_are_lyndon(self):
+        assert all(_rotation_lyndon(w.letters) for w in family_words())
+
+    def test_family_words(self):
+        for w in family_words():
+            check_word(w)
+            check_lyndon_word(w)
+
+
+class TestHypothesis:
+    @given(words(TERNARY, max_size=40))
+    def test_any_word(self, w):
+        check_word(w)
+
+    @given(lyndon_words)
+    def test_lyndon_word(self, w):
+        check_lyndon_word(w)
+
+    @given(st.lists(st.integers(min_value=-99, max_value=99), unique=True, min_size=1, max_size=40))
+    def test_decreasing_tree(self, alpha):
+        tree = decreasing_tree(alpha)
+        assert tree == decreasing_by_max_split(tuple(alpha))
+        assert in_order_labels(tree) == tuple(alpha)
+
+
+def walk(tree):
+    """Leaf ranks and a pre-order shape code (1 leaf, 0 node), without recursion."""
+    letters, shape = [], []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            letters.append(node.letter.letters[0])
+            shape.append(1)
+        else:
+            shape.append(0)
+            stack.append(node.right)
+            stack.append(node.left)
+    return tuple(letters), shape
+
+
+class TestDeepTrees:
+    @pytest.mark.parametrize(
+        "w", [comb(2000), christoffel(1597, 987)], ids=["comb-2000", "christoffel-2584"]
+    )
+    def test_builders_do_not_recurse(self, w):
+        left = left_lyndon_tree(w)
+        cartesian = left_cartesian_tree(w)
+        right = right_lyndon_tree(w)
+        for tree in (left, cartesian, right):
+            assert walk(tree)[0] == w.letters
+        assert walk(left)[1] == walk(cartesian)[1]
+        lines = render_dot(left).splitlines()
+        assert len(lines) == 2 + (2 * len(w) - 1) + 2 * (len(w) - 1)
+
+    def test_comb_is_a_right_comb(self):
+        _, shape = walk(left_lyndon_tree(comb(2000)))
+        assert shape == [0, 1] * 1999 + [1]
