@@ -40,9 +40,20 @@ _SIX_LABELS = (
 
 def format_tree(tree: MagmaTree) -> str:
     """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
-    if isinstance(tree, Leaf):
-        return tree.letter.text()
-    return f"({format_tree(tree.left)},{format_tree(tree.right)})"
+    # One walk with an explicit stack of pending subtrees and punctuation.
+    out: list[str] = []
+    stack: list[MagmaTree | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Node):
+            out.append("(")
+            stack += (")", item.right, ",", item.left)
+        else:
+            letter = item.letter
+            out.append(letter.alphabet.symbols[letter.letters[0]])
+    return "".join(out)
 
 
 def parse_tree(text: str, alphabet: OrderedAlphabet) -> MagmaTree:
@@ -232,7 +243,8 @@ def cmd_tree(args) -> int:
         _emit(format_tree(tree))
     if args.kind in ("left", "cartesian"):
         other = left_cartesian_tree(w) if args.kind == "left" else left_lyndon_tree(w)
-        equal = tree == other
+        # Canonical texts compare without recursing through the trees.
+        equal = format_tree(tree) == format_tree(other)
         if args.format == "text":
             _emit(f"left == cartesian: {'equal' if equal else 'different'}")
         if not equal:

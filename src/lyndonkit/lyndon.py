@@ -3,7 +3,9 @@
 A nonempty word is Lyndon when it is strictly smaller than the right part
 of every nontrivial split.  The predicate family below keeps the classical
 split conditions and the extension-order conditions as separate entry
-points so they can be played against each other in tests.
+points so they can be played against each other in tests.  Duval's scan
+(Duval 1983) gives the factorization, both end factors and every Lyndon
+prefix in linear time.
 """
 
 from __future__ import annotations
@@ -119,21 +121,11 @@ def is_lyndon_via_rotations(w: Word) -> bool:
 
 
 def is_lyndon_suffix_omega(w: Word) -> bool:
-    """Extension-order test over splits w = uv: w^ω below v^ω for every split.
-
-    The companion form, u^ω below v^ω for every split, is evaluated as
-    well; the two are interchangeable and any disagreement is a bug.
-    """
+    """Extension-order test over splits w = uv: w^ω below v^ω for every split."""
     ensure_nonempty(w)
-    whole = True
-    parts = True
-    for u, v in nontrivial_splits(w):
-        whole = whole and omega_cmp(w, v).outcome is Ordering.LESS
-        parts = parts and omega_cmp(u, v).outcome is Ordering.LESS
-        if not whole and not parts:
-            break
-    assert whole == parts
-    return whole
+    return all(
+        omega_cmp(w, v).outcome is Ordering.LESS for _, v in nontrivial_splits(w)
+    )
 
 
 def is_lyndon_prefix_omega(w: Word) -> bool:
@@ -152,46 +144,19 @@ def lyndon_factorization(w: Word) -> LyndonFactorization:
 
 
 def first_lyndon_factor(w: Word) -> Word:
-    """Leading factor, found as the shortest prefix whose extension dominates.
-
-    Two independent prefix scans are run: against the whole word, and
-    against the complementary suffix.  They must agree, and they stay away
-    from the factorization routine on purpose.
-    """
+    """Leading factor of the factorization: the longest Lyndon prefix, in O(n)."""
     ensure_nonempty(w)
-    n = len(w.letters)
-    against_whole = None
-    against_rest = None
-    for i in range(1, n + 1):
-        p = w[:i]
-        if against_whole is None and omega_cmp(p, w).outcome is not Ordering.LESS:
-            against_whole = p
-        if against_rest is None:
-            rest = w[i:]
-            if len(rest.letters) == 0 or omega_cmp(p, rest).outcome is not Ordering.LESS:
-                against_rest = p
-        if against_whole is not None and against_rest is not None:
-            break
-    assert against_whole is not None and against_whole == against_rest
-    return against_whole
+    return w[:_lyndon_prefix_lengths(w.letters)[-1]]
 
 
 def last_lyndon_factor(w: Word) -> Word:
-    """Final factor: the shortest nonempty suffix with the smallest extension.
+    """Final factor of the factorization, which is the smallest suffix.
 
-    Scans suffixes directly so the result can be played against
-    lyndon_factorization instead of being read off from it.
+    Read off one Duval scan, in O(n).
     """
     ensure_nonempty(w)
-    best = w
-    for start in range(1, len(w.letters)):
-        s = w[start:]
-        c = omega_cmp(s, best)
-        if c.outcome is Ordering.LESS or (
-            c.outcome is Ordering.EQUAL and len(s.letters) < len(best.letters)
-        ):
-            best = s
-    return best
+    n = len(w.letters)
+    return w[_duval_cuts(w.letters, 0, n)[-2]:]
 
 
 def enumerate_lyndon_words(alphabet: OrderedAlphabet, max_len: int) -> Iterator[Word]:

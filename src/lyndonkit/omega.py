@@ -2,14 +2,13 @@
 
 Nonempty words u and v are compared by the lexicographic order of the
 infinite repetitions uuu... and vvv....  No infinite object is ever built:
-the outcome is decided by comparing the concatenations uv and vu, and the
-first differing position of the two extensions is bounded by
-|u| + |v| - gcd(|u|, |v|), the Fine and Wilf bound.
+the two extensions first differ exactly where the concatenations uv and vu
+first differ, a position bounded by |u| + |v| - gcd(|u|, |v|), the Fine
+and Wilf bound.  When uv = vu the extensions coincide.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 from .errors import OmegaEqual, PreconditionFailed
@@ -18,7 +17,6 @@ from .words import (
     Word,
     ensure_nonempty,
     ensure_same_alphabet,
-    fractional_power_of,
     primitive_root,
 )
 
@@ -64,15 +62,39 @@ class SixConditions(NamedTuple):
         return all(self) or not any(self)
 
 
-def _scan_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
-    # Synchronized walk along both extensions.  If no difference shows up
-    # before the periodicity bound, the extensions are equal.
-    la, lb = len(a), len(b)
-    bound = la + lb - gcd(la, lb)
-    for i in range(bound):
-        if a[i % la] != b[i % lb]:
-            return i + 1
-    return None
+def _concatenations(u: Word, v: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    if u.alphabet is not v.alphabet:
+        ensure_same_alphabet(u, v)
+    ensure_nonempty(u)
+    ensure_nonempty(v)
+    a, b = u.letters, v.letters
+    return a + b, b + a
+
+
+def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
+    """Index of the first letter where equal-length a and b differ, None if equal.
+
+    After the first letter, gallops over windows [lo, 2 lo) of doubling
+    length, then bisects the window that holds the difference.  Every
+    comparison is one tuple slice comparison, so an early difference costs
+    O(1) interpreter steps and a late one O(log n).
+    """
+    if a[0] != b[0]:
+        return 0
+    n = len(a)
+    lo, hi = 1, 2
+    while a[lo:hi] == b[lo:hi]:
+        if hi >= n:
+            return None
+        lo, hi = hi, 2 * hi
+    # a[:lo] == b[:lo] and a[lo:hi] != b[lo:hi]; slices stop at n.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def omega_cmp(u: Word, v: Word) -> OmegaComparison:
@@ -81,41 +103,31 @@ def omega_cmp(u: Word, v: Word) -> OmegaComparison:
     Equality holds exactly when uv = vu; the common primitive root is
     reported in that case.
     """
-    ensure_same_alphabet(u, v)
-    ensure_nonempty(u)
-    ensure_nonempty(v)
-    uv = u.letters + v.letters
-    vu = v.letters + u.letters
-    if uv == vu:
+    uv, vu = _concatenations(u, v)
+    i = _first_difference(uv, vu)
+    if i is None:
         root, _ = primitive_root(u)
         return OmegaComparison(Ordering.EQUAL, None, root)
-    outcome = Ordering.LESS if uv < vu else Ordering.GREATER
-    position = _scan_difference(u.letters, v.letters)
-    assert position is not None
-    return OmegaComparison(outcome, position, None)
+    outcome = Ordering.LESS if uv[i] < vu[i] else Ordering.GREATER
+    return OmegaComparison(outcome, i + 1, None)
 
 
 def omega_mismatch_position(u: Word, v: Word) -> int | None:
     """1-based first position where the two extensions differ, None if never."""
-    ensure_same_alphabet(u, v)
-    ensure_nonempty(u)
-    ensure_nonempty(v)
-    return _scan_difference(u.letters, v.letters)
+    i = _first_difference(*_concatenations(u, v))
+    return None if i is None else i + 1
 
 
 def comparison_within_first_factor(u: Word, v: Word) -> bool:
     """Whether the extensions already differ inside the leading copy of v.
 
     True exactly when the mismatch position is at most |v|, which in turn
-    holds exactly when v is not a fractional power of u; both routes are
-    evaluated and must agree.
+    holds exactly when v is not a fractional power of u.
     """
     cmp = omega_cmp(u, v)
     if cmp.outcome is Ordering.EQUAL:
         raise OmegaEqual("the extensions coincide, no comparison position exists")
-    within = cmp.mismatch_position <= len(v.letters)
-    assert within == (fractional_power_of(v, u) is None)
-    return within
+    return cmp.mismatch_position <= len(v.letters)
 
 
 def _omega_less(a: Word, b: Word) -> bool:

@@ -58,6 +58,8 @@ __all__ = [
     "CHECK_NAMES",
     "omega_cmp_naive",
     "lyndon_factorization_naive",
+    "first_lyndon_factor_naive",
+    "last_lyndon_factor_naive",
     "left_lyndon_tree_naive",
     "verify_word",
 ]
@@ -134,6 +136,41 @@ def lyndon_factorization_naive(w: Word) -> LyndonFactorization:
     return LyndonFactorization(tuple(Word(w.alphabet, part) for part in survivors[0]))
 
 
+def first_lyndon_factor_naive(w: Word) -> tuple[Word, Word]:
+    """The leading factor found by two independent prefix scans.
+
+    The first item is the shortest prefix whose extension is not below that
+    of the whole word; the second is the shortest prefix w[:i] that is all
+    of w or whose extension is not below that of the rest w[i:].  Both
+    equal the leading Lyndon factor.
+    """
+    ensure_nonempty(w)
+    n = len(w.letters)
+    against_whole = next(
+        w[:i] for i in range(1, n + 1) if omega_cmp(w[:i], w).outcome is not Ordering.LESS
+    )
+    against_rest = next(
+        w[:i]
+        for i in range(1, n + 1)
+        if i == n or omega_cmp(w[:i], w[i:]).outcome is not Ordering.LESS
+    )
+    return against_whole, against_rest
+
+
+def last_lyndon_factor_naive(w: Word) -> Word:
+    """The shortest nonempty suffix with the smallest extension, by a scan of all suffixes."""
+    ensure_nonempty(w)
+    best = w
+    for start in range(1, len(w.letters)):
+        s = w[start:]
+        c = omega_cmp(s, best)
+        if c.outcome is Ordering.LESS or (
+            c.outcome is Ordering.EQUAL and len(s.letters) < len(best.letters)
+        ):
+            best = s
+    return best
+
+
 def left_lyndon_tree_naive(w: Word) -> MagmaTree:
     """Definitional recursion: split at the longest proper Lyndon prefix.
 
@@ -198,8 +235,12 @@ def _check_lyndon_definitions(w: Word):
 
 
 def _check_suffix_conditions(w: Word):
-    # is_lyndon_suffix_omega cross-checks its two internal forms itself.
-    if is_lyndon_suffix_omega(w) != is_lyndon(w):
+    # Two forms over the splits w = uv: w^ω < v^ω (the library's) and u^ω < v^ω.
+    whole = is_lyndon_suffix_omega(w)
+    parts = all(omega_cmp(u, v).outcome is Ordering.LESS for u, v in nontrivial_splits(w))
+    if whole != parts:
+        return False, f"suffix extension forms disagree: w^ω < v^ω {whole}, u^ω < v^ω {parts}"
+    if whole != is_lyndon(w):
         return False, "suffix extension test disagrees with the split test"
     return True, ""
 
@@ -246,14 +287,23 @@ def _check_factorization(w: Word):
 
 
 def _check_first_factor(w: Word):
-    if first_lyndon_factor(w) != lyndon_factorization(w).factors[0]:
-        return False, "prefix scan disagrees with the factorization head"
+    fast = first_lyndon_factor(w)
+    against_whole, against_rest = first_lyndon_factor_naive(w)
+    head = lyndon_factorization(w).factors[0]
+    if not fast == against_whole == against_rest == head:
+        return False, (
+            f"first factor {fast}, prefix scans {against_whole} and {against_rest}, "
+            f"factorization head {head}"
+        )
     return True, ""
 
 
 def _check_last_factor(w: Word):
-    if last_lyndon_factor(w) != lyndon_factorization(w).factors[-1]:
-        return False, "suffix scan disagrees with the final factor"
+    fast = last_lyndon_factor(w)
+    scanned = last_lyndon_factor_naive(w)
+    tail = lyndon_factorization(w).factors[-1]
+    if not fast == scanned == tail:
+        return False, f"last factor {fast}, suffix scan {scanned}, final factor {tail}"
     return True, ""
 
 

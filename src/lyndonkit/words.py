@@ -92,6 +92,9 @@ class Word:
 
     def __init__(self, alphabet: OrderedAlphabet, letters: Iterable[int] = ()) -> None:
         ls = tuple(letters)
+        if not all(map(isinstance, ls, itertools.repeat(int))):
+            bad = next(x for x in ls if not isinstance(x, int))
+            raise ValueError(f"rank {bad!r} is not an int")
         if ls and not (0 <= min(ls) and max(ls) < len(alphabet.symbols)):
             bad = next(x for x in ls if not 0 <= x < len(alphabet.symbols))
             raise ValueError(f"rank {bad} out of range for {alphabet!r}")
@@ -183,12 +186,13 @@ def ensure_same_alphabet(u: Word, v: Word) -> None:
 def make_word(text: Iterable[str], alphabet: OrderedAlphabet) -> Word:
     """Encode a character sequence as a word; error positions are 1-based."""
     rank = alphabet.rank
-    letters = []
-    for pos, ch in enumerate(text, start=1):
-        if ch not in rank:
-            raise UnknownSymbol(pos, ch)
-        letters.append(rank[ch])
-    return Word(alphabet, letters)
+    chars = text if isinstance(text, str) else tuple(text)
+    try:
+        letters = tuple(map(rank.__getitem__, chars))
+    except KeyError:
+        pos, ch = next((p, ch) for p, ch in enumerate(chars, start=1) if ch not in rank)
+        raise UnknownSymbol(pos, ch) from None
+    return Word._make(alphabet, letters)
 
 
 def lex_cmp(u: Word, v: Word) -> Ordering:
@@ -242,7 +246,7 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     n = len(ls)
     for d in range(1, n + 1):
         if n % d == 0 and ls[:d] * (n // d) == ls:
-            return Word(w.alphabet, ls[:d]), n // d
+            return Word._make(w.alphabet, ls[:d]), n // d
     raise AssertionError("unreachable: every word is a power of itself")
 
 

@@ -237,6 +237,13 @@ class TestTree:
         assert code == 0
         assert out == "((a,(a,b)),(a,b))\nleft == cartesian: equal\n"
 
+    @pytest.mark.parametrize("kind", ["left", "cartesian"])
+    def test_deep_comb(self, kind):
+        # 1,500 levels: far past the interpreter's recursion limit.
+        code, out, err = run_cli(["tree", "a" * 1499 + "b", "--kind", kind])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["(a," * 1499 + "b" + ")" * 1499, "left == cartesian: equal"]
+
     def test_divergence_exits_1(self, monkeypatch):
         monkeypatch.setattr(
             "lyndonkit.cli.left_cartesian_tree",

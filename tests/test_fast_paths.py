@@ -3,8 +3,10 @@
 Each fast routine is compared with a slow one written from the definition:
 exhaustively on every word of up to 10 letters over ``ab`` and ``abc``, on
 the benchmark's word families (random, comb, Christoffel) at small sizes,
-and on hypothesis-drawn Lyndon words.  The last class builds trees of
+and on hypothesis-drawn Lyndon words.  The deep-tree class builds trees of
 2,000-letter words, far deeper than the interpreter's recursion limit.
+The end factors are checked against the oracle's prefix and suffix scans,
+and the extension comparison and word encoding on 16,000-letter inputs.
 """
 
 import itertools
@@ -23,15 +25,24 @@ from lyndonkit import (
     Word,
     completion,
     decreasing_tree,
+    errors,
+    first_lyndon_factor,
+    first_lyndon_factor_naive,
     in_order_labels,
     internal_addresses,
     is_lyndon,
     is_lyndon_via_rotations,
+    last_lyndon_factor,
+    last_lyndon_factor_naive,
     left_cartesian_tree,
     left_foliage,
     left_lyndon_tree,
     left_lyndon_tree_naive,
     left_standard_factorization,
+    make_word,
+    omega_cmp,
+    omega_cmp_naive,
+    omega_mismatch_position,
     prec_cmp,
     prefix_standard_permutation,
     render_dot,
@@ -269,3 +280,54 @@ class TestDeepTrees:
     def test_comb_is_a_right_comb(self):
         _, shape = walk(left_lyndon_tree(comb(2000)))
         assert shape == [0, 1] * 1999 + [1]
+
+
+def check_end_factors(w: Word) -> None:
+    against_whole, against_rest = first_lyndon_factor_naive(w)
+    assert first_lyndon_factor(w) == against_whole == against_rest, w
+    assert last_lyndon_factor(w) == last_lyndon_factor_naive(w), w
+
+
+class TestEndFactors:
+    @pytest.mark.parametrize(
+        "alphabet, max_len", [(BINARY, EXHAUSTIVE_LEN), (TERNARY, 7)], ids=["ab", "abc"]
+    )
+    def test_every_word(self, alphabet, max_len):
+        for w in all_words(alphabet, max_len):
+            check_end_factors(w)
+
+    @given(words(TERNARY, max_size=40))
+    def test_any_word(self, w):
+        check_end_factors(w)
+
+
+LONG = 16_000
+
+
+def long_pairs():
+    """The benchmark's three compare shapes: random, a late mismatch, equal powers."""
+    rng = random.Random(16)
+    k = (LONG - 1) // 3
+    root = (0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0)
+    return [
+        tuple(Word(BINARY, [rng.randrange(2) for _ in range(LONG)]) for _ in range(2)),
+        (Word(BINARY, (0, 0, 1) * k + (0,)), Word(BINARY, (0, 0, 1) * k + (1,))),
+        (Word(BINARY, root * 800), Word(BINARY, root * 600)),
+    ]
+
+
+class TestLongWords:
+    @pytest.mark.parametrize("pair", long_pairs(), ids=["random", "late-mismatch", "powers"])
+    def test_omega_cmp_matches_naive(self, pair):
+        u, v = pair
+        for a, b in (pair, (v, u)):
+            got = omega_cmp(a, b)
+            assert got == omega_cmp_naive(a, b)
+            assert omega_mismatch_position(a, b) == got.mismatch_position
+
+    def test_make_word_error_position(self):
+        text = "ab" * (LONG // 2 - 1) + "ax"
+        for source in (text, iter(text)):
+            with pytest.raises(errors.UnknownSymbol) as info:
+                make_word(source, BINARY)
+            assert (info.value.position, info.value.character) == (LONG, "x")

@@ -12,6 +12,8 @@ from lyndonkit import (
     comparison_within_first_factor,
     errors,
     fractional_power_of,
+    is_lyndon,
+    is_lyndon_suffix_omega,
     iter_all_words,
     lex_cmp,
     make_word,
@@ -20,7 +22,7 @@ from lyndonkit import (
     six_conditions,
 )
 
-from .strategies import BINARY, words
+from .strategies import BINARY, TERNARY, words
 
 
 def w(text: str) -> Word:
@@ -123,6 +125,25 @@ class TestWithinFirstFactor:
         if omega_cmp(u, v).outcome is not Ordering.EQUAL:
             got = comparison_within_first_factor(u, v)
             assert got == (fractional_power_of(v, u) is None)
+
+    def test_iff_not_fractional_power_exhaustively(self):
+        universe = list(iter_all_words(BINARY, 5))
+        for u, v in product(universe, repeat=2):
+            if omega_cmp(u, v).outcome is not Ordering.EQUAL:
+                got = comparison_within_first_factor(u, v)
+                assert got == (fractional_power_of(v, u) is None), (u, v)
+
+
+def test_suffix_forms_agree_exhaustively():
+    # Over the splits w = uv, "w^ω < v^ω for all" and "u^ω < v^ω for all"
+    # are the same condition, and both say w is Lyndon.
+    for alphabet, max_len in ((BINARY, 10), (TERNARY, 6)):
+        for word in iter_all_words(alphabet, max_len):
+            parts = all(
+                omega_cmp(word[:i], word[i:]).outcome is Ordering.LESS
+                for i in range(1, len(word))
+            )
+            assert is_lyndon_suffix_omega(word) == parts == is_lyndon(word), word
 
 
 class TestSixConditions:

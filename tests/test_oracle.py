@@ -11,8 +11,10 @@ from lyndonkit import (
     Word,
     enumerate_lyndon_words,
     errors,
+    first_lyndon_factor_naive,
     is_lyndon,
     iter_all_words,
+    last_lyndon_factor_naive,
     left_lyndon_tree,
     left_lyndon_tree_naive,
     lyndon_factorization,
@@ -125,6 +127,21 @@ class TestVerifyWord:
         )
         assert not report.passed
         assert [c.name for c in report.failures()] == ["y"]
+
+    def test_end_factor_disagreement_is_a_check_failure(self, monkeypatch):
+        word = w("ababaab")
+        monkeypatch.setattr(
+            "lyndonkit.oracle.first_lyndon_factor_naive", lambda x: (x[:2], x[:1])
+        )
+        monkeypatch.setattr("lyndonkit.oracle.last_lyndon_factor_naive", lambda x: x)
+        report = verify_word(word)
+        assert [c.name for c in report.failures()] == ["first-factor", "last-factor"]
+
+    def test_end_factor_scans_examples(self):
+        assert first_lyndon_factor_naive(w("ababaab")) == (w("ab"), w("ab"))
+        assert first_lyndon_factor_naive(w("aabab")) == (w("aabab"), w("aabab"))
+        assert last_lyndon_factor_naive(w("ababaab")) == w("aab")
+        assert last_lyndon_factor_naive(w("bbb")) == w("b")
 
     @given(words(TERNARY, max_size=7))
     def test_every_small_word_passes(self, word):

@@ -75,6 +75,11 @@ class TestWord:
         with pytest.raises(ValueError):
             Word(BINARY, [0, 2])
 
+    def test_ranks_must_be_ints(self):
+        for bad in ([0.5], [0, 1.0], ["a"], [0, None]):
+            with pytest.raises(ValueError, match="is not an int"):
+                Word(BINARY, bad)
+
 
 class TestLexCmp:
     def test_examples(self):
