@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable
 
 from .cartesian import left_cartesian_tree, prefix_standard_permutation
 from .errors import LyndonKitError
@@ -38,9 +39,12 @@ _SIX_LABELS = (
 )
 
 
-def format_tree(tree: MagmaTree) -> str:
-    """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
-    # One walk with an explicit stack of pending subtrees and punctuation.
+def _write_tree(
+    tree: MagmaTree, opening: str, separator: str, closing: str, leaf: Callable[[str], str]
+) -> str:
+    """Write a node as opening, left, separator, right, closing, and a leaf as leaf(symbol)."""
+    # One walk with an explicit stack of pending subtrees and punctuation,
+    # so no tree depth can exhaust the interpreter's recursion limit.
     out: list[str] = []
     stack: list[MagmaTree | str] = [tree]
     while stack:
@@ -48,12 +52,23 @@ def format_tree(tree: MagmaTree) -> str:
         if isinstance(item, str):
             out.append(item)
         elif isinstance(item, Node):
-            out.append("(")
-            stack += (")", item.right, ",", item.left)
+            out.append(opening)
+            stack += (closing, item.right, separator, item.left)
         else:
             letter = item.letter
-            out.append(letter.alphabet.symbols[letter.letters[0]])
+            out.append(leaf(letter.alphabet.symbols[letter.letters[0]]))
     return "".join(out)
+
+
+def format_tree(tree: MagmaTree) -> str:
+    """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
+    return _write_tree(tree, "(", ",", ")", str)
+
+
+def _tree_structured(tree: MagmaTree, alphabet: OrderedAlphabet) -> str:
+    """The JSON text json.dumps gives for nested {"l": ..., "r": ...} and {"leaf": ...}."""
+    leaves = {s: '{"leaf": ' + json.dumps(s) + "}" for s in alphabet.symbols}
+    return _write_tree(tree, '{"l": ', ', "r": ', "}", leaves.__getitem__)
 
 
 def parse_tree(text: str, alphabet: OrderedAlphabet) -> MagmaTree:
@@ -213,12 +228,6 @@ def _lyndon_violation(w: Word) -> tuple[Word, Word]:
     return next((u, v) for u, v in nontrivial_splits(w) if lex_cmp(u, v) is not Ordering.LESS)
 
 
-def _tree_structured(tree: MagmaTree):
-    if isinstance(tree, Leaf):
-        return {"leaf": tree.letter.text()}
-    return {"l": _tree_structured(tree.left), "r": _tree_structured(tree.right)}
-
-
 def cmd_tree(args) -> int:
     alphabet = _alphabet_for(args.alphabet, args.w)
     w = make_word(args.w, alphabet)
@@ -238,7 +247,7 @@ def cmd_tree(args) -> int:
     if args.format == "dot":
         _emit(render_dot(tree))
     elif args.format == "structured":
-        _emit(json.dumps(_tree_structured(tree)))
+        _emit(_tree_structured(tree, alphabet))
     else:
         _emit(format_tree(tree))
     if args.kind in ("left", "cartesian"):
@@ -261,6 +270,25 @@ def _verify_one(symbols: str, text: str):
     return text, tuple((c.name, c.passed, c.detail) for c in report.checks)
 
 
+def _tally(results, max_len: int) -> tuple[list[int], dict[str, int]] | None:
+    """Lyndon words per length and passes per check, or None after the first failure.
+
+    Each result is counted as it arrives, so no report outlives its word.
+    """
+    lyndon_per_length = [0] * max_len
+    passes = {name: 0 for name in CHECK_NAMES}
+    for text, checks in results:
+        ran = {name for name, _, _ in checks}
+        if "trees-coincide" in ran:
+            lyndon_per_length[len(text) - 1] += 1
+        for name, ok, detail in checks:
+            if not ok:
+                print(f"FAIL {name} on {text}: {detail}", file=sys.stderr)
+                return None
+            passes[name] += 1
+    return lyndon_per_length, passes
+
+
 def cmd_verify(args) -> int:
     if args.format != "text":
         print("verify only renders text", file=sys.stderr)
@@ -278,28 +306,20 @@ def cmd_verify(args) -> int:
     if jobs > 1:
         executor = ProcessPoolExecutor(max_workers=jobs)
         with executor:
-            reports = list(
+            tally = _tally(
                 executor.map(
                     _verify_one,
                     [symbols] * len(words),
                     words,
                     chunksize=max(1, len(words) // (4 * jobs)),
-                )
+                ),
+                args.max_len,
             )
     else:
-        reports = [_verify_one(symbols, text) for text in words]
-
-    lyndon_per_length = [0] * args.max_len
-    passes = {name: 0 for name in CHECK_NAMES}
-    for text, checks in reports:
-        ran = {name for name, _, _ in checks}
-        if "trees-coincide" in ran:
-            lyndon_per_length[len(text) - 1] += 1
-        for name, ok, detail in checks:
-            if not ok:
-                print(f"FAIL {name} on {text}: {detail}", file=sys.stderr)
-                return 1
-            passes[name] += 1
+        tally = _tally(map(_verify_one, [symbols] * len(words), words), args.max_len)
+    if tally is None:
+        return 1
+    lyndon_per_length, passes = tally
 
     _emit(f"alphabet: {symbols}")
     _emit(f"words checked: {len(words)}")

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import EmptySequence
-from .words import OrderedAlphabet, Ordering, Word, ensure_nonempty, nontrivial_splits
+from .words import (
+    OrderedAlphabet,
+    Ordering,
+    Word,
+    _join,
+    ensure_nonempty,
+    nontrivial_splits,
+)
 from .omega import omega_cmp
 
 __all__ = [
@@ -43,10 +50,7 @@ class LyndonFactorization:
 
     @property
     def word(self) -> Word:
-        out = self.factors[0]
-        for f in self.factors[1:]:
-            out = out + f
-        return out
+        return _join(self.factors)
 
     def __len__(self) -> int:
         return len(self.factors)

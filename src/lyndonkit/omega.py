@@ -62,13 +62,10 @@ class SixConditions(NamedTuple):
         return all(self) or not any(self)
 
 
-def _concatenations(u: Word, v: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if u.alphabet is not v.alphabet:
-        ensure_same_alphabet(u, v)
-    ensure_nonempty(u)
-    ensure_nonempty(v)
-    a, b = u.letters, v.letters
-    return a + b, b + a
+# Results are immutable, so every comparison decided by the first letters
+# can return one of these two.
+_LESS_AT_FIRST = OmegaComparison(Ordering.LESS, 1, None)
+_GREATER_AT_FIRST = OmegaComparison(Ordering.GREATER, 1, None)
 
 
 def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
@@ -103,7 +100,18 @@ def omega_cmp(u: Word, v: Word) -> OmegaComparison:
     Equality holds exactly when uv = vu; the common primitive root is
     reported in that case.
     """
-    uv, vu = _concatenations(u, v)
+    # The sweep makes hundreds of thousands of calls on a few letters each,
+    # so the common cases skip every helper call: one alphabet object, both
+    # words nonempty, and different first letters (mismatch at position 1).
+    if u.alphabet is not v.alphabet:
+        ensure_same_alphabet(u, v)
+    a, b = u.letters, v.letters
+    if not (a and b):
+        ensure_nonempty(u)
+        ensure_nonempty(v)
+    if a[0] != b[0]:
+        return _LESS_AT_FIRST if a[0] < b[0] else _GREATER_AT_FIRST
+    uv, vu = a + b, b + a
     i = _first_difference(uv, vu)
     if i is None:
         root, _ = primitive_root(u)
@@ -114,8 +122,7 @@ def omega_cmp(u: Word, v: Word) -> OmegaComparison:
 
 def omega_mismatch_position(u: Word, v: Word) -> int | None:
     """1-based first position where the two extensions differ, None if never."""
-    i = _first_difference(*_concatenations(u, v))
-    return None if i is None else i + 1
+    return omega_cmp(u, v).mismatch_position
 
 
 def comparison_within_first_factor(u: Word, v: Word) -> bool:

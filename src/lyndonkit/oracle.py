@@ -9,7 +9,6 @@ inputs stay desk sized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cartesian import (
     left_cartesian_tree,
@@ -46,6 +45,7 @@ from .trees import (
 from .words import (
     Ordering,
     Word,
+    _join,
     ensure_nonempty,
     ensure_same_alphabet,
     lex_cmp,
@@ -68,20 +68,26 @@ __all__ = [
 def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
     """Materialize both extensions out to |u| + |v| letters and scan.
 
-    Equality is declared exactly when uv = vu; the common root is then
-    found by trying prefixes of u from the shortest up.
+    The two prefixes are tested for equality first; unequal ones are
+    scanned letter by letter for the first mismatch.  Equal ones mean equal
+    extensions (Fine and Wilf), checked against uv = vu; the common root is
+    then found by trying prefixes of u from the shortest up.
     """
-    ensure_same_alphabet(u, v)
-    ensure_nonempty(u)
-    ensure_nonempty(v)
+    if u.alphabet is not v.alphabet:
+        ensure_same_alphabet(u, v)
     a, b = u.letters, v.letters
+    if not (a and b):
+        ensure_nonempty(u)
+        ensure_nonempty(v)
     total = len(a) + len(b)
-    ea = [a[i % len(a)] for i in range(total)]
-    eb = [b[i % len(b)] for i in range(total)]
-    for i in range(total):
-        if ea[i] != eb[i]:
-            outcome = Ordering.LESS if ea[i] < eb[i] else Ordering.GREATER
-            return OmegaComparison(outcome, i + 1, None)
+    ea = (a * (total // len(a) + 1))[:total]
+    eb = (b * (total // len(b) + 1))[:total]
+    if ea != eb:
+        i = 0
+        while ea[i] == eb[i]:
+            i += 1
+        outcome = Ordering.LESS if ea[i] < eb[i] else Ordering.GREATER
+        return OmegaComparison(outcome, i + 1, None)
     assert a + b == b + a
     return OmegaComparison(Ordering.EQUAL, None, _common_root(u, v))
 
@@ -105,35 +111,33 @@ def _is_lyndon_brute(letters: tuple[int, ...]) -> bool:
     return all(letters < letters[i:] + letters[:i] for i in range(1, len(letters)))
 
 
-@lru_cache(maxsize=None)
-def _lyndon_splittings(letters):
-    """Every factorization of the letter tuple into Lyndon pieces."""
-    if not letters:
-        return ((),)
-    out = []
-    for i in range(1, len(letters) + 1):
-        head = letters[:i]
-        if _is_lyndon_brute(head):
-            out.extend((head,) + tail for tail in _lyndon_splittings(letters[i:]))
-    return tuple(out)
-
-
 def lyndon_factorization_naive(w: Word) -> LyndonFactorization:
-    """Enumerate all Lyndon-piece factorizations, keep the nonincreasing one.
+    """Search every nonincreasing sequence of Lyndon pieces that spells w.
 
-    Raises UniquenessViolation unless exactly one survives the filter.
+    A depth-first search extends each partial sequence by every piece that
+    is Lyndon (by the rotation test) and at most the previous piece.
+    Raises UniquenessViolation unless exactly one sequence completes.
     """
     ensure_nonempty(w)
-    survivors = [
-        fact
-        for fact in _lyndon_splittings(w.letters)
-        if all(fact[i] >= fact[i + 1] for i in range(len(fact) - 1))
-    ]
-    if len(survivors) != 1:
-        raise UniquenessViolation(
-            f"{w.text()!r}: {len(survivors)} nonincreasing factorizations"
-        )
-    return LyndonFactorization(tuple(Word(w.alphabet, part) for part in survivors[0]))
+    letters = w.letters
+    n = len(letters)
+    complete = []
+    stack: list[tuple[int, tuple[tuple[int, ...], ...]]] = [(0, ())]
+    while stack:
+        start, pieces = stack.pop()
+        if start == n:
+            complete.append(pieces)
+            continue
+        for stop in range(start + 1, n + 1):
+            piece = letters[start:stop]
+            if pieces and piece > pieces[-1]:
+                # Every longer piece from this start is larger still.
+                break
+            if _is_lyndon_brute(piece):
+                stack.append((stop, pieces + (piece,)))
+    if len(complete) != 1:
+        raise UniquenessViolation(f"{w.text()!r}: {len(complete)} nonincreasing factorizations")
+    return LyndonFactorization(tuple(Word(w.alphabet, part) for part in complete[0]))
 
 
 def first_lyndon_factor_naive(w: Word) -> tuple[Word, Word]:
@@ -216,10 +220,10 @@ class VerificationReport:
 
 
 def _check_omega_agreement(w: Word):
-    for i in range(1, len(w.letters) + 1):
-        p = w[:i]
-        for j in range(len(w.letters)):
-            s = w[j:]
+    n = len(w.letters)
+    suffixes = [w[j:] for j in range(n)]
+    for p in [w[:i] for i in range(1, n + 1)]:
+        for s in suffixes:
             fast = omega_cmp(p, s)
             slow = omega_cmp_naive(p, s)
             if fast != slow:
@@ -310,9 +314,7 @@ def _check_last_factor(w: Word):
 def _check_first_dominates_rest(w: Word):
     factors = lyndon_factorization(w).factors
     if len(factors) >= 2:
-        rest = factors[1]
-        for f in factors[2:]:
-            rest = rest + f
+        rest = _join(factors[1:])
         if omega_cmp(factors[0], rest).outcome is Ordering.LESS:
             return False, f"head {factors[0]} sits below the rest {rest}"
     return True, ""
@@ -340,13 +342,6 @@ def _check_right_factorization(w: Word):
     return True, ""
 
 
-def _concat(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
-    return out
-
-
 def _check_left_subtrees_chain(w: Word):
     t = left_lyndon_tree(w)
     for addr in internal_addresses(t):
@@ -363,7 +358,7 @@ def _check_left_foliage_concatenation(w: Word):
     t = left_lyndon_tree(w)
     for addr in internal_addresses(t):
         ells = [foliage(s) for s in left_subtrees_sequence(t, addr)]
-        if left_foliage(t, addr) != _concat(ells):
+        if left_foliage(t, addr) != _join(ells):
             return False, f"node {addr or 'root'}: foliages do not concatenate"
     return True, ""
 
@@ -372,15 +367,15 @@ def _check_left_subtrees_order(w: Word):
     t = left_lyndon_tree(w)
     for addr in internal_addresses(t):
         ells = [foliage(s) for s in left_subtrees_sequence(t, addr)]
-        whole = _concat(ells)
+        whole = _join(ells)
         last = ells[-1]
         if len(last.letters) >= 2:
             head, _ = left_standard_factorization(last)
-            clipped = _concat(ells[:-1] + [head])
+            clipped = _join(ells[:-1] + [head])
             if omega_cmp(clipped, whole).outcome is not Ordering.LESS:
                 return False, f"node {addr or 'root'}: clipping the tail did not shrink it"
         if len(ells) >= 2:
-            shorter = _concat(ells[:-1])
+            shorter = _join(ells[:-1])
             if omega_cmp(whole, shorter).outcome is Ordering.GREATER:
                 return False, f"node {addr or 'root'}: dropping the tail shrank it"
     return True, ""

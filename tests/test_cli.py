@@ -8,17 +8,28 @@ from lyndonkit import (
     CheckResult,
     Leaf,
     Node,
+    OrderedAlphabet,
     VerificationReport,
     Word,
+    enumerate_lyndon_words,
     format_tree,
+    left_cartesian_tree,
     left_lyndon_tree,
     make_word,
     parse_tree,
     render_dot,
+    right_lyndon_tree,
 )
 from lyndonkit.cli import main
 
 from .strategies import BINARY, TERNARY
+
+
+def nested_tree(tree):
+    """Reference for `tree --format structured`: the tree as nested dicts."""
+    if isinstance(tree, Leaf):
+        return {"leaf": tree.letter.text()}
+    return {"l": nested_tree(tree.left), "r": nested_tree(tree.right)}
 
 
 def run_cli(argv):
@@ -243,6 +254,31 @@ class TestTree:
         code, out, err = run_cli(["tree", "a" * 1499 + "b", "--kind", kind])
         assert (code, err) == (0, "")
         assert out.splitlines() == ["(a," * 1499 + "b" + ")" * 1499, "left == cartesian: equal"]
+
+    @pytest.mark.parametrize(
+        "kind, build",
+        [("left", left_lyndon_tree), ("right", right_lyndon_tree), ("cartesian", left_cartesian_tree)],
+    )
+    @pytest.mark.parametrize("symbols, max_len", [("ab", 8), ('"\\é', 5)])
+    def test_structured_matches_json_dumps(self, kind, build, symbols, max_len):
+        for word in enumerate_lyndon_words(OrderedAlphabet(symbols), max_len):
+            argv = ["tree", word.text(), "--kind", kind, "--format", "structured"]
+            code, out, err = run_cli(argv + ["--alphabet", symbols])
+            assert (code, err) == (0, ""), word
+            assert out == json.dumps(nested_tree(build(word))) + "\n", word
+
+    @pytest.mark.parametrize("kind", ["left", "right", "cartesian"])
+    def test_deep_comb_structured(self, kind):
+        code, out, err = run_cli(["tree", "a" * 1499 + "b", "--kind", kind, "--format", "structured"])
+        assert (code, err) == (0, "")
+        depth = deepest = 0
+        for ch in out:
+            depth += {"{": 1, "}": -1}.get(ch, 0)
+            deepest = max(deepest, depth)
+        assert depth == 0
+        # 1,499 nested nodes, then the leaf object of the final b.
+        assert deepest == 1500
+        assert out == '{"l": {"leaf": "a"}, "r": ' * 1499 + '{"leaf": "b"}' + "}" * 1499 + "\n"
 
     def test_divergence_exits_1(self, monkeypatch):
         monkeypatch.setattr(

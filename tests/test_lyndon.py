@@ -102,6 +102,18 @@ class TestFactorization:
         assert fact.word == w("ab")
         assert len(fact) == 1
 
+    def test_word_of_many_factors(self):
+        # 40,000 factors: joining them one `+` at a time copies Θ(k·n) letters.
+        word = w("b" + "a" * 39999)
+        fact = lyndon_factorization(word)
+        assert len(fact) == 40000
+        assert fact.word == word
+
+    def test_word_rejects_mixed_alphabets(self):
+        fact = LyndonFactorization((w("b"), make_word("a", BINARY.reversed())))
+        with pytest.raises(errors.AlphabetMismatch):
+            fact.word
+
     @given(words(max_size=12))
     def test_invariants(self, word):
         fact = lyndon_factorization(word)

@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import product
 
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given
 from lyndonkit import (
     CHECK_NAMES,
     CheckResult,
+    LyndonFactorization,
+    OmegaComparison,
     Ordering,
     VerificationReport,
     Word,
@@ -33,6 +37,55 @@ def w(text: str) -> Word:
     return make_word(text, BINARY)
 
 
+def omega_cmp_indexed(u: Word, v: Word) -> OmegaComparison:
+    """Reference: the extensions built one `%`-indexed letter at a time, then scanned."""
+    a, b = u.letters, v.letters
+    total = len(a) + len(b)
+    ea = [a[i % len(a)] for i in range(total)]
+    eb = [b[i % len(b)] for i in range(total)]
+    for i in range(total):
+        if ea[i] != eb[i]:
+            outcome = Ordering.LESS if ea[i] < eb[i] else Ordering.GREATER
+            return OmegaComparison(outcome, i + 1, None)
+    root = next(
+        a[:d]
+        for d in range(1, len(a) + 1)
+        if a[:d] * (len(a) // d) == a and a[:d] * (len(b) // d) == b
+    )
+    return OmegaComparison(Ordering.EQUAL, None, Word(u.alphabet, root))
+
+
+def lyndon_splittings(letters):
+    """Reference: every factorization of the letter tuple into Lyndon pieces."""
+    if not letters:
+        return [()]
+    out = []
+    for i in range(1, len(letters) + 1):
+        head = letters[:i]
+        if all(head < head[k:] + head[:k] for k in range(1, len(head))):
+            out.extend((head,) + tail for tail in lyndon_splittings(letters[i:]))
+    return out
+
+
+def lyndon_factorization_enumerated(word: Word) -> LyndonFactorization:
+    """Reference: enumerate every Lyndon splitting, keep the nonincreasing ones."""
+    survivors = [
+        fact
+        for fact in lyndon_splittings(word.letters)
+        if all(fact[i] >= fact[i + 1] for i in range(len(fact) - 1))
+    ]
+    assert len(survivors) == 1, (word, survivors)
+    return LyndonFactorization(tuple(Word(word.alphabet, part) for part in survivors[0]))
+
+
+def random_lyndon_word(n: int, seed: int) -> Word:
+    rng = random.Random(seed)
+    while True:
+        word = w("".join(rng.choices("ab", k=n)))
+        if is_lyndon(word):
+            return word
+
+
 class TestNaiveOmega:
     def test_examples(self):
         assert omega_cmp_naive(w("b"), w("ba")).outcome is Ordering.GREATER
@@ -54,6 +107,25 @@ class TestNaiveOmega:
     def test_agrees_with_fast_path(self, u, v):
         assert omega_cmp_naive(u, v) == omega_cmp(u, v)
 
+    @pytest.mark.parametrize("alphabet, max_len", [(BINARY, 6), (TERNARY, 4)])
+    def test_agrees_with_indexed_materialization(self, alphabet, max_len):
+        universe = list(iter_all_words(alphabet, max_len))
+        for u, v in product(universe, repeat=2):
+            assert omega_cmp_naive(u, v) == omega_cmp_indexed(u, v), (u, v)
+
+    @pytest.mark.parametrize("compare", [omega_cmp, omega_cmp_naive])
+    def test_error_order(self, compare):
+        # A mismatched alphabet is reported before an empty word.
+        other = make_word("a", BINARY.reversed())
+        with pytest.raises(errors.AlphabetMismatch):
+            compare(Word(BINARY), other)
+        with pytest.raises(errors.AlphabetMismatch):
+            compare(other, Word(BINARY))
+        with pytest.raises(errors.EmptyWord):
+            compare(Word(BINARY), w("a"))
+        with pytest.raises(errors.EmptyWord):
+            compare(w("a"), Word(BINARY))
+
 
 class TestNaiveFactorization:
     def test_examples(self):
@@ -72,6 +144,19 @@ class TestNaiveFactorization:
     @given(words(TERNARY, max_size=8))
     def test_agrees_with_fast_path(self, word):
         assert lyndon_factorization_naive(word) == lyndon_factorization(word)
+
+    @pytest.mark.parametrize("alphabet, max_len", [(BINARY, 10), (TERNARY, 6)])
+    def test_agrees_with_enumerate_then_filter(self, alphabet, max_len):
+        for word in iter_all_words(alphabet, max_len):
+            assert lyndon_factorization_naive(word) == lyndon_factorization_enumerated(word), word
+
+    def test_long_word_is_quick(self):
+        # Enumerating every Lyndon splitting first needs gigabytes here.
+        word = random_lyndon_word(64, seed=1)
+        start = time.perf_counter()
+        assert lyndon_factorization_naive(word).factors == (word,)
+        assert verify_word(word).passed
+        assert time.perf_counter() - start < 30
 
 
 class TestNaiveTree:
@@ -136,6 +221,22 @@ class TestVerifyWord:
         monkeypatch.setattr("lyndonkit.oracle.last_lyndon_factor_naive", lambda x: x)
         report = verify_word(word)
         assert [c.name for c in report.failures()] == ["first-factor", "last-factor"]
+
+    def test_omega_agreement_visits_every_pair_once(self, monkeypatch):
+        word = w("abaabbab")
+        n = len(word)
+        seen = []
+
+        def recording(p, s):
+            assert p.letters == word.letters[: len(p)]
+            assert s.letters == word.letters[n - len(s) :]
+            seen.append((len(p), len(s)))
+            return omega_cmp_naive(p, s)
+
+        monkeypatch.setattr("lyndonkit.oracle.omega_cmp_naive", recording)
+        assert verify_word(word).passed
+        assert len(seen) == n * n
+        assert set(seen) == set(product(range(1, n + 1), repeat=2))
 
     def test_end_factor_scans_examples(self):
         assert first_lyndon_factor_naive(w("ababaab")) == (w("ab"), w("ab"))
