@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import EmptySequence
-from .words import (
-    OrderedAlphabet,
-    Ordering,
-    Word,
-    _join,
-    ensure_nonempty,
-    nontrivial_splits,
-)
+from .words import OrderedAlphabet, Ordering, Word, _join, ensure_nonempty, nontrivial_splits
 from .omega import omega_cmp
 
 __all__ = [
