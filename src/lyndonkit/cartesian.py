@@ -29,7 +29,6 @@ __all__ = [
     "in_order_labels",
     "completion",
     "left_cartesian_tree",
-    "left_cartesian_tree_via_prefixes",
 ]
 
 
@@ -178,6 +177,11 @@ def in_order_labels(tree: DecreasingTree | None) -> tuple[int, ...]:
     return tuple(labels)
 
 
+def _node(label: int, left: MagmaTree, right: MagmaTree) -> Node:
+    # Completion keeps the skeleton's shape; the labels have done their job.
+    return Node(left, right)
+
+
 def completion(skeleton: DecreasingTree, w: Word) -> MagmaTree:
     """The unique complete tree with the skeleton as its internal nodes.
 
@@ -191,7 +195,7 @@ def completion(skeleton: DecreasingTree, w: Word) -> MagmaTree:
         raise SizeMismatch(
             f"skeleton has {len(labels)} nodes but the word has {len(w.letters)} letters"
         )
-    return _stack_build(labels, _leaves(w), lambda _, left, right: Node(left, right))
+    return _stack_build(labels, _leaves(w), _node)
 
 
 def left_cartesian_tree(w: Word) -> MagmaTree:
@@ -199,6 +203,8 @@ def left_cartesian_tree(w: Word) -> MagmaTree:
 
     The whole word always ranks last, so its entry is dropped before
     building the skeleton; anything else means the ranking is broken.
+    One stack pass over the ranks, with the letters in the empty slots,
+    builds the skeleton and its completion together.
     """
     if not is_lyndon(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
@@ -207,30 +213,4 @@ def left_cartesian_tree(w: Word) -> MagmaTree:
     ps = prefix_standard_permutation(w)
     if ps.sigma[-1] != len(w.letters):
         raise InternalError("a Lyndon word must rank above all its proper prefixes")
-    skeleton = decreasing_tree(ps.sigma[:-1])
-    return completion(skeleton, w)
-
-
-def left_cartesian_tree_via_prefixes(w: Word) -> MagmaTree:
-    """Same tree, built from the prefixes themselves instead of integer ranks.
-
-    The recursion picks the prec-greatest proper prefix of each block and
-    fills the gaps between prefix positions with letter leaves.
-    """
-    if not is_lyndon(w):
-        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    n = len(w.letters)
-    if n == 1:
-        return Leaf(w)
-
-    def build(lo: int, hi: int) -> MagmaTree:
-        # Prefix lengths lo..hi sit between leaves lo-1 and hi (0-based).
-        if lo > hi:
-            return Leaf(w[lo - 1:lo])
-        top = lo
-        for length in range(lo + 1, hi + 1):
-            if prec_cmp(w[:length], w[:top]) is Ordering.GREATER:
-                top = length
-        return Node(build(lo, top - 1), build(top + 1, hi))
-
-    return build(1, n - 1)
+    return _stack_build(ps.sigma[:-1], _leaves(w), _node)

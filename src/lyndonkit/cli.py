@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
-from .cartesian import left_cartesian_tree, prefix_standard_permutation
+from .cartesian import _z_array, left_cartesian_tree, prefix_standard_permutation
 from .errors import LyndonKitError
 from .lyndon import (
     first_lyndon_factor,
@@ -25,7 +25,7 @@ from .lyndon import (
 from .omega import omega_cmp, six_conditions
 from .oracle import CHECK_NAMES, verify_word
 from .trees import Leaf, MagmaTree, Node, left_lyndon_tree, right_lyndon_tree
-from .words import Ordering, OrderedAlphabet, Word, iter_all_words, lex_cmp, make_word, nontrivial_splits
+from .words import Ordering, OrderedAlphabet, Word, iter_all_words, make_word
 
 __all__ = ["main", "format_tree", "parse_tree", "render_dot"]
 
@@ -73,26 +73,35 @@ def _tree_structured(tree: MagmaTree, alphabet: OrderedAlphabet) -> str:
 
 def parse_tree(text: str, alphabet: OrderedAlphabet) -> MagmaTree:
     """Inverse of format_tree.  Raises ValueError on malformed input."""
-    tree, stop = _parse_tree(text, 0, alphabet)
-    if stop != len(text):
-        raise ValueError(f"trailing input at offset {stop}")
-    return tree
-
-
-def _parse_tree(text: str, at: int, alphabet: OrderedAlphabet):
-    if at >= len(text):
-        raise ValueError("unexpected end of tree text")
-    if text[at] == "(":
-        left, at = _parse_tree(text, at + 1, alphabet)
+    # One left-to-right scan.  Each open node on the stack holds None while
+    # its left subtree is read, then that subtree while its right one is.
+    pending: list[MagmaTree | None] = []
+    at = 0
+    while True:
+        if at >= len(text):
+            raise ValueError("unexpected end of tree text")
+        if text[at] == "(":
+            pending.append(None)
+            at += 1
+            continue
+        if text[at] in "),":
+            raise ValueError(f"unexpected {text[at]!r} at offset {at}")
+        tree: MagmaTree = Leaf(make_word(text[at], alphabet))
+        at += 1
+        while pending and pending[-1] is not None:
+            if at >= len(text) or text[at] != ")":
+                raise ValueError(f"expected ')' at offset {at}")
+            tree = Node(pending.pop(), tree)
+            at += 1
+        if not pending:
+            break
         if at >= len(text) or text[at] != ",":
             raise ValueError(f"expected ',' at offset {at}")
-        right, at = _parse_tree(text, at + 1, alphabet)
-        if at >= len(text) or text[at] != ")":
-            raise ValueError(f"expected ')' at offset {at}")
-        return Node(left, right), at + 1
-    if text[at] in "),":
-        raise ValueError(f"unexpected {text[at]!r} at offset {at}")
-    return Leaf(make_word(text[at], alphabet)), at + 1
+        pending[-1] = tree
+        at += 1
+    if at != len(text):
+        raise ValueError(f"trailing input at offset {at}")
+    return tree
 
 
 def render_dot(tree: MagmaTree) -> str:
@@ -143,10 +152,6 @@ def _alphabet_for(symbols: str | None, *texts: str) -> OrderedAlphabet:
     return OrderedAlphabet(seen)
 
 
-def _emit(text: str) -> None:
-    print(text)
-
-
 def cmd_compare(args) -> int:
     alphabet = _alphabet_for(args.alphabet, args.u, args.v)
     u = make_word(args.u, alphabet)
@@ -161,16 +166,16 @@ def cmd_compare(args) -> int:
         }
         if six is not None:
             doc["six"] = dict(zip(six._fields, six))
-        _emit(json.dumps(doc))
+        print(json.dumps(doc))
         return 0
     if result.outcome is Ordering.EQUAL:
-        _emit(f"equal: powers of {result.common_root.text()}")
+        print(f"equal: powers of {result.common_root.text()}")
     else:
         sign = "<ω" if result.outcome is Ordering.LESS else ">ω"
-        _emit(f"{u.text()} {sign} {v.text()}, mismatch at {result.mismatch_position}")
+        print(f"{u.text()} {sign} {v.text()}, mismatch at {result.mismatch_position}")
     if six is not None:
         for label, value in zip(_SIX_LABELS, six):
-            _emit(f"{label}: {'true' if value else 'false'}")
+            print(f"{label}: {'true' if value else 'false'}")
     return 0
 
 
@@ -188,7 +193,7 @@ def cmd_factorize(args) -> int:
         )
         return 1
     if args.format == "structured":
-        _emit(
+        print(
             json.dumps(
                 {
                     "factors": [f.text() for f in factorization.factors],
@@ -198,9 +203,9 @@ def cmd_factorize(args) -> int:
             )
         )
         return 0
-    _emit("".join(f"({f.text()})" for f in factorization.factors))
-    _emit(f"first: {first.text()}")
-    _emit(f"last: {last.text()}")
+    print("".join(f"({f.text()})" for f in factorization.factors))
+    print(f"first: {first.text()}")
+    print(f"last: {last.text()}")
     return 0
 
 
@@ -216,16 +221,30 @@ def cmd_pstd(args) -> int:
     w = make_word(args.w, alphabet)
     ranks = prefix_standard_permutation(w)
     if args.format == "structured":
-        _emit(json.dumps({"sigma": list(ranks.sigma), "inverse": list(ranks.inverse)}))
+        print(json.dumps({"sigma": list(ranks.sigma), "inverse": list(ranks.inverse)}))
         return 0
-    _emit(_format_perm(ranks.sigma))
-    _emit(f"inverse: {_format_perm(ranks.inverse)}")
+    print(_format_perm(ranks.sigma))
+    print(f"inverse: {_format_perm(ranks.inverse)}")
     return 0
 
 
 def _lyndon_violation(w: Word) -> tuple[Word, Word]:
-    """The first split w = uv with u >= v; w must not be Lyndon."""
-    return next((u, v) for u, v in nontrivial_splits(w) if lex_cmp(u, v) is not Ordering.LESS)
+    """The first split w = uv with u >= v; w must not be Lyndon.
+
+    u = w[:i] and v = w[i:] agree on their first min(z[i], i, n - i)
+    letters, where z is the Z-array of w, so each split is decided by one
+    letter comparison and the search is O(n).
+    """
+    ls = w.letters
+    n = len(ls)
+    z = _z_array(ls)
+    for i in range(1, n):
+        k = min(z[i], i, n - i)
+        # v is a prefix of u (u >= v), u a proper prefix of v (u < v), or
+        # the two first differ at offset k.
+        if k == n - i or (k < i and ls[k] > ls[i + k]):
+            return w[:i], w[i:]
+    raise ValueError(f"{w.text()!r} is a Lyndon word")
 
 
 def cmd_tree(args) -> int:
@@ -245,17 +264,16 @@ def cmd_tree(args) -> int:
     }
     tree = builders[args.kind](w)
     if args.format == "dot":
-        _emit(render_dot(tree))
+        print(render_dot(tree))
     elif args.format == "structured":
-        _emit(_tree_structured(tree, alphabet))
+        print(_tree_structured(tree, alphabet))
     else:
-        _emit(format_tree(tree))
+        print(format_tree(tree))
     if args.kind in ("left", "cartesian"):
         other = left_cartesian_tree(w) if args.kind == "left" else left_lyndon_tree(w)
-        # Canonical texts compare without recursing through the trees.
-        equal = format_tree(tree) == format_tree(other)
+        equal = tree == other
         if args.format == "text":
-            _emit(f"left == cartesian: {'equal' if equal else 'different'}")
+            print(f"left == cartesian: {'equal' if equal else 'different'}")
         if not equal:
             if args.format != "text":
                 print("left and cartesian trees differ", file=sys.stderr)
@@ -321,12 +339,12 @@ def cmd_verify(args) -> int:
         return 1
     lyndon_per_length, passes = tally
 
-    _emit(f"alphabet: {symbols}")
-    _emit(f"words checked: {len(words)}")
-    _emit("lyndon words per length: " + ",".join(str(c) for c in lyndon_per_length))
+    print(f"alphabet: {symbols}")
+    print(f"words checked: {len(words)}")
+    print("lyndon words per length: " + ",".join(str(c) for c in lyndon_per_length))
     for name in CHECK_NAMES:
-        _emit(f"{name}: {passes[name]} pass")
-    _emit("all checks pass")
+        print(f"{name}: {passes[name]} pass")
+    print("all checks pass")
     return 0
 
 

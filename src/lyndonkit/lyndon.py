@@ -1,11 +1,9 @@
-"""Lyndon predicates, the nonincreasing factorization, and its end factors.
+"""The Lyndon predicate, the nonincreasing factorization, and its end factors.
 
 A nonempty word is Lyndon when it is strictly smaller than the right part
-of every nontrivial split.  The predicate family below keeps the classical
-split conditions and the extension-order conditions as separate entry
-points so they can be played against each other in tests.  Duval's scan
-(Duval 1983) gives the factorization, both end factors and every Lyndon
-prefix in linear time.
+of every nontrivial split.  Duval's scan (Duval 1983) gives the predicate,
+the factorization, both end factors and every Lyndon prefix in linear time;
+the other characterizations live in the oracle.
 """
 
 from __future__ import annotations
@@ -14,16 +12,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import EmptySequence
-from .words import OrderedAlphabet, Ordering, Word, _join, ensure_nonempty, nontrivial_splits
-from .omega import omega_cmp
+from .words import OrderedAlphabet, Word, _join, ensure_nonempty
 
 __all__ = [
     "LyndonFactorization",
     "is_lyndon",
-    "is_lyndon_via_suffixes",
-    "is_lyndon_via_rotations",
-    "is_lyndon_suffix_omega",
-    "is_lyndon_prefix_omega",
     "lyndon_factorization",
     "first_lyndon_factor",
     "last_lyndon_factor",
@@ -101,36 +94,6 @@ def is_lyndon(w: Word) -> bool:
     ensure_nonempty(w)
     ls = w.letters
     return _lyndon_prefix_lengths(ls)[-1] == len(ls)
-
-
-def is_lyndon_via_suffixes(w: Word) -> bool:
-    """Variant split condition: w is smaller than each nontrivial proper suffix."""
-    ensure_nonempty(w)
-    ls = w.letters
-    return all(ls < ls[i:] for i in range(1, len(ls)))
-
-
-def is_lyndon_via_rotations(w: Word) -> bool:
-    """Variant split condition: w is strictly smaller than each nontrivial rotation."""
-    ensure_nonempty(w)
-    ls = w.letters
-    return all(ls < ls[i:] + ls[:i] for i in range(1, len(ls)))
-
-
-def is_lyndon_suffix_omega(w: Word) -> bool:
-    """Extension-order test over splits w = uv: w^ω below v^ω for every split."""
-    ensure_nonempty(w)
-    return all(
-        omega_cmp(w, v).outcome is Ordering.LESS for _, v in nontrivial_splits(w)
-    )
-
-
-def is_lyndon_prefix_omega(w: Word) -> bool:
-    """Extension-order test over prefixes: every nontrivial proper prefix is below w."""
-    ensure_nonempty(w)
-    return all(
-        omega_cmp(w[:i], w).outcome is Ordering.LESS for i in range(1, len(w.letters))
-    )
 
 
 def lyndon_factorization(w: Word) -> LyndonFactorization:

@@ -1,8 +1,9 @@
 """Brute-force reference implementations and a per-word theorem verifier.
 
-Everything here is written against the raw definitions and shares only the
-data types with the fast paths, so each claim gets checked by two
-independently written routines.  Exponential behavior is acceptable;
+Everything here is written against the raw definitions, or against one of
+the paper's alternative characterizations, and shares only the data types
+and the extension order with the fast paths, so each claim gets checked by
+two independently written routines.  Exponential behavior is acceptable;
 inputs stay desk sized.
 """
 
@@ -10,20 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartesian import (
-    left_cartesian_tree,
-    left_cartesian_tree_via_prefixes,
-    prec_cmp,
-)
+from .cartesian import left_cartesian_tree, prec_cmp
 from .errors import NotLyndon, UniquenessViolation
 from .lyndon import (
     LyndonFactorization,
     first_lyndon_factor,
     is_lyndon,
-    is_lyndon_prefix_omega,
-    is_lyndon_suffix_omega,
-    is_lyndon_via_rotations,
-    is_lyndon_via_suffixes,
     last_lyndon_factor,
     lyndon_factorization,
 )
@@ -57,10 +50,15 @@ __all__ = [
     "VerificationReport",
     "CHECK_NAMES",
     "omega_cmp_naive",
+    "is_lyndon_via_suffixes",
+    "is_lyndon_via_rotations",
+    "is_lyndon_suffix_omega",
+    "is_lyndon_prefix_omega",
     "lyndon_factorization_naive",
     "first_lyndon_factor_naive",
     "last_lyndon_factor_naive",
     "left_lyndon_tree_naive",
+    "left_cartesian_tree_via_prefixes",
     "verify_word",
 ]
 
@@ -106,9 +104,38 @@ def _repeats_to(root: tuple[int, ...], letters: tuple[int, ...]) -> bool:
     return r == 0 and root * q == letters
 
 
-def _is_lyndon_brute(letters: tuple[int, ...]) -> bool:
-    # Strictly smallest among its rotations.
+def _below_rotations(letters: tuple[int, ...]) -> bool:
+    # Strictly smaller than each of its nontrivial rotations.
     return all(letters < letters[i:] + letters[:i] for i in range(1, len(letters)))
+
+
+def is_lyndon_via_suffixes(w: Word) -> bool:
+    """Variant split condition: w is smaller than each nontrivial proper suffix."""
+    ensure_nonempty(w)
+    ls = w.letters
+    return all(ls < ls[i:] for i in range(1, len(ls)))
+
+
+def is_lyndon_via_rotations(w: Word) -> bool:
+    """Variant split condition: w is strictly smaller than each nontrivial rotation."""
+    ensure_nonempty(w)
+    return _below_rotations(w.letters)
+
+
+def is_lyndon_suffix_omega(w: Word) -> bool:
+    """Extension-order test over splits w = uv: w^ω below v^ω for every split."""
+    ensure_nonempty(w)
+    return all(
+        omega_cmp(w, v).outcome is Ordering.LESS for _, v in nontrivial_splits(w)
+    )
+
+
+def is_lyndon_prefix_omega(w: Word) -> bool:
+    """Extension-order test over prefixes: every nontrivial proper prefix is below w."""
+    ensure_nonempty(w)
+    return all(
+        omega_cmp(w[:i], w).outcome is Ordering.LESS for i in range(1, len(w.letters))
+    )
 
 
 def lyndon_factorization_naive(w: Word) -> LyndonFactorization:
@@ -133,7 +160,7 @@ def lyndon_factorization_naive(w: Word) -> LyndonFactorization:
             if pieces and piece > pieces[-1]:
                 # Every longer piece from this start is larger still.
                 break
-            if _is_lyndon_brute(piece):
+            if _below_rotations(piece):
                 stack.append((stop, pieces + (piece,)))
     if len(complete) != 1:
         raise UniquenessViolation(f"{w.text()!r}: {len(complete)} nonincreasing factorizations")
@@ -181,15 +208,40 @@ def left_lyndon_tree_naive(w: Word) -> MagmaTree:
     Uses its own rotation-based Lyndon test and scans every prefix instead
     of stopping early, so it shares no algorithm with the fast builder.
     """
-    if not _is_lyndon_brute(w.letters):
+    if not _below_rotations(w.letters):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
     if len(w.letters) == 1:
         return Leaf(w)
     cut = 0
     for i in range(1, len(w.letters)):
-        if _is_lyndon_brute(w.letters[:i]):
+        if _below_rotations(w.letters[:i]):
             cut = i
     return Node(left_lyndon_tree_naive(w[:cut]), left_lyndon_tree_naive(w[cut:]))
+
+
+def left_cartesian_tree_via_prefixes(w: Word) -> MagmaTree:
+    """The left Cartesian tree, built from the prefixes instead of integer ranks.
+
+    The recursion picks the prec-greatest proper prefix of each block and
+    fills the gaps between prefix positions with letter leaves.
+    """
+    if not is_lyndon(w):
+        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
+    n = len(w.letters)
+    if n == 1:
+        return Leaf(w)
+
+    def build(lo: int, hi: int) -> MagmaTree:
+        # Prefix lengths lo..hi sit between leaves lo-1 and hi (0-based).
+        if lo > hi:
+            return Leaf(w[lo - 1:lo])
+        top = lo
+        for length in range(lo + 1, hi + 1):
+            if prec_cmp(w[:length], w[:top]) is Ordering.GREATER:
+                top = length
+        return Node(build(lo, top - 1), build(top + 1, hi))
+
+    return build(1, n - 1)
 
 
 @dataclass(frozen=True)

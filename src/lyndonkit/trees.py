@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
 from .lyndon import _duval_cuts, _lyndon_prefix_lengths, is_lyndon
-from .words import Word, ensure_nonempty
+from .words import Word, _join, ensure_nonempty
 
 __all__ = [
     "Leaf",
@@ -44,22 +44,58 @@ class Leaf:
             raise ValueError("a leaf carries exactly one letter")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Node:
-    """An internal node with exactly two children."""
+    """An internal node with exactly two children.
+
+    Equality and hashing walk the tree with an explicit stack, so no tree
+    depth can exhaust the interpreter's recursion limit.
+    """
 
     left: "MagmaTree"
     right: "MagmaTree"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Node):
+            return NotImplemented
+        # Pre-order walks of complete binary trees form a prefix-free code,
+        # so two trees differ exactly when their walks differ at some step.
+        for a, b in zip(_preorder(self), _preorder(other)):
+            if a is b or isinstance(a, Node) and isinstance(b, Node):
+                continue
+            if not (isinstance(a, Leaf) and isinstance(b, Leaf) and a == b):
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(t if isinstance(t, Leaf) else None for t in _preorder(self)))
 
 
 MagmaTree = Union[Leaf, Node]
 
 
+def _preorder(tree: MagmaTree) -> list[MagmaTree]:
+    """Every subtree, in pre-order, listed with an explicit stack."""
+    order = []
+    stack = [tree]
+    while stack:
+        tree = stack.pop()
+        order.append(tree)
+        if isinstance(tree, Node):
+            stack.append(tree.right)
+            stack.append(tree.left)
+    return order
+
+
+def _leaf_letters(tree: MagmaTree) -> list[Word]:
+    return [t.letter for t in _preorder(tree) if isinstance(t, Leaf)]
+
+
 def foliage(tree: MagmaTree) -> Word:
-    """The leaf word of the tree, left to right."""
+    """The leaf word of the tree, left to right, joined in one O(n) copy."""
     if isinstance(tree, Leaf):
         return tree.letter
-    return foliage(tree.left) + foliage(tree.right)
+    return _join(_leaf_letters(tree))
 
 
 def _leaves(w: Word) -> list[Leaf]:
@@ -182,17 +218,19 @@ def left_subtrees_sequence(tree: MagmaTree, address: str) -> tuple[MagmaTree, ..
     address must land on an internal node.
     """
     _check_address(address)
-    return _lss(tree, address, address)
-
-
-def _lss(tree: MagmaTree, path: str, full: str) -> tuple[MagmaTree, ...]:
+    hanging = []
+    for step in address:
+        if isinstance(tree, Leaf):
+            break
+        if step == "L":
+            tree = tree.left
+        else:
+            hanging.append(tree.left)
+            tree = tree.right
     if isinstance(tree, Leaf):
-        raise BadAddress(f"address {full!r} does not reach an internal node")
-    if not path:
-        return (tree.left,)
-    if path[0] == "L":
-        return _lss(tree.left, path[1:], full)
-    return (tree.left,) + _lss(tree.right, path[1:], full)
+        raise BadAddress(f"address {address!r} does not reach an internal node")
+    hanging.append(tree.left)
+    return tuple(hanging)
 
 
 def left_foliage(tree: MagmaTree, address: str) -> Word:
@@ -201,24 +239,26 @@ def left_foliage(tree: MagmaTree, address: str) -> Word:
     Its length equals the number of leaves strictly to the left of the node.
     """
     _check_address(address)
-    return _left_foliage(tree, address, address)
-
-
-def _left_foliage(tree: MagmaTree, path: str, full: str) -> Word:
+    letters: list[Word] = []
+    for step in address:
+        if isinstance(tree, Leaf):
+            break
+        if step == "L":
+            tree = tree.left
+        else:
+            letters += _leaf_letters(tree.left)
+            tree = tree.right
     if isinstance(tree, Leaf):
-        raise BadAddress(f"address {full!r} does not reach an internal node")
-    if not path:
-        return foliage(tree.left)
-    if path[0] == "L":
-        return _left_foliage(tree.left, path[1:], full)
-    return foliage(tree.left) + _left_foliage(tree.right, path[1:], full)
+        raise BadAddress(f"address {address!r} does not reach an internal node")
+    return _join(letters + _leaf_letters(tree.left))
 
 
 def internal_addresses(tree: MagmaTree) -> Iterator[str]:
     """Addresses of the internal nodes, in pre-order."""
-    if isinstance(tree, Node):
-        yield ""
-        for sub in internal_addresses(tree.left):
-            yield "L" + sub
-        for sub in internal_addresses(tree.right):
-            yield "R" + sub
+    stack = [(tree, "")]
+    while stack:
+        tree, address = stack.pop()
+        if isinstance(tree, Node):
+            yield address
+            stack.append((tree.right, address + "R"))
+            stack.append((tree.left, address + "L"))

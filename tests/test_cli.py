@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,18 +10,22 @@ from lyndonkit import (
     Leaf,
     Node,
     OrderedAlphabet,
+    Ordering,
     VerificationReport,
     Word,
     enumerate_lyndon_words,
     format_tree,
+    is_lyndon,
     left_cartesian_tree,
     left_lyndon_tree,
+    lex_cmp,
     make_word,
+    nontrivial_splits,
     parse_tree,
     render_dot,
     right_lyndon_tree,
 )
-from lyndonkit.cli import main
+from lyndonkit.cli import _lyndon_violation, main
 
 from .strategies import BINARY, TERNARY
 
@@ -279,6 +284,25 @@ class TestTree:
         # 1,499 nested nodes, then the leaf object of the final b.
         assert deepest == 1500
         assert out == '{"l": {"leaf": "a"}, "r": ' * 1499 + '{"leaf": "b"}' + "}" * 1499 + "\n"
+
+    @pytest.mark.parametrize("symbols, max_len", [("ab", 10), ("abc", 6)])
+    def test_violation_matches_slice_search(self, symbols, max_len):
+        def slice_search(word):
+            return next(
+                (u, v) for u, v in nontrivial_splits(word) if lex_cmp(u, v) is not Ordering.LESS
+            )
+
+        alphabet = OrderedAlphabet(symbols)
+        for n in range(1, max_len + 1):
+            for letters in itertools.product(range(len(symbols)), repeat=n):
+                word = Word(alphabet, letters)
+                if not is_lyndon(word):
+                    assert _lyndon_violation(word) == slice_search(word), word
+
+    def test_long_unary_word_exits_2(self):
+        code, out, err = run_cli(["tree", "a" * 100_000])
+        assert (code, out) == (2, "")
+        assert err == "not Lyndon: split " + "a" * 50_000 + "|" + "a" * 50_000 + " has u ≥ v\n"
 
     def test_divergence_exits_1(self, monkeypatch):
         monkeypatch.setattr(

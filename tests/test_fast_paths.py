@@ -194,6 +194,7 @@ def check_lyndon_word(w: Word) -> None:
         skeleton = decreasing_tree(sigma[:-1])
         assert skeleton == decreasing_by_max_split(sigma[:-1]), w
         assert completion(skeleton, w) == completion_by_sizes(skeleton, w), w
+        assert left_cartesian_tree(w) == completion(skeleton, w), w
         u, v = left_standard_factorization(w)
         cut = max(i for i in range(1, len(w)) if _rotation_lyndon(w.letters[:i]))
         assert (u, v) == (w[:cut], w[cut:]), w

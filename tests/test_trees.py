@@ -4,13 +4,16 @@ from hypothesis import given
 from lyndonkit import (
     Leaf,
     Node,
+    OrderedAlphabet,
     Ordering,
     Word,
     enumerate_lyndon_words,
     errors,
     foliage,
+    format_tree,
     internal_addresses,
     is_lyndon,
+    left_cartesian_tree,
     left_foliage,
     left_lyndon_tree,
     left_standard_factorization,
@@ -18,6 +21,7 @@ from lyndonkit import (
     lex_cmp,
     make_word,
     omega_cmp,
+    parse_tree,
     prec_cmp,
     right_lyndon_tree,
     right_standard_factorization,
@@ -292,3 +296,75 @@ class TestHangingSubtreeLemmas:
                         prec_cmp(left_foliage(tree, x + step), left_foliage(tree, x))
                         is Ordering.LESS
                     ), (word, x, step)
+
+
+class TestDeepComb:
+    """The public tree functions on the comb a^1499 b: 1,500 levels, past the recursion limit."""
+
+    COMB = "a" * 1499 + "b"
+
+    def tree(self):
+        return left_lyndon_tree(w(self.COMB))
+
+    def test_foliage(self):
+        assert foliage(self.tree()) == w(self.COMB)
+
+    def test_internal_addresses(self):
+        addresses = list(internal_addresses(self.tree()))
+        assert addresses == ["R" * k for k in range(1499)]
+
+    def test_left_subtrees_and_left_foliage_on_a_long_address(self):
+        tree = self.tree()
+        address = "R" * 1400
+        assert left_subtrees_sequence(tree, address) == (leaf("a"),) * 1401
+        assert left_foliage(tree, address) == w("a" * 1401)
+        with pytest.raises(errors.BadAddress):
+            left_subtrees_sequence(tree, "R" * 1499)
+        with pytest.raises(errors.BadAddress):
+            left_foliage(tree, "R" * 1499)
+
+    def test_parse_format_round_trip(self):
+        tree = self.tree()
+        assert parse_tree(format_tree(tree), BINARY) == tree
+
+    def test_equality_and_hash(self):
+        tree = self.tree()
+        cartesian = left_cartesian_tree(w(self.COMB))
+        assert tree == cartesian
+        assert hash(tree) == hash(cartesian)
+        assert len({tree, cartesian}) == 1
+        other = left_lyndon_tree(w("a" * 1498 + "bb"))
+        assert tree != other
+        assert tree != Node(tree.left, Node(leaf("a"), leaf("b")))
+
+
+class TestTreeEquality:
+    def test_different_alphabets_differ(self):
+        # Same ranks, so the same shape, over another alphabet.
+        for symbols in ("xy", "ba", "abc"):
+            alphabet = OrderedAlphabet(symbols)
+            for word in enumerate_lyndon_words(BINARY, 6):
+                tree = left_lyndon_tree(word)
+                moved = left_lyndon_tree(Word(alphabet, word.letters))
+                assert tree != moved and not tree == moved, (word, symbols)
+
+    def test_leaf_and_node_differ(self):
+        pair = Node(leaf("a"), leaf("b"))
+        assert pair != leaf("a") and leaf("a") != pair
+        assert Node(pair, leaf("b")) != Node(leaf("a"), leaf("b"))
+        assert Node(leaf("a"), pair) != Node(leaf("a"), leaf("b"))
+
+    def test_shared_leaves_short_cut(self, monkeypatch):
+        a, b = leaf("a"), leaf("b")
+
+        def refuse(self, other):
+            raise AssertionError("compared a shared leaf by value")
+
+        monkeypatch.setattr(Leaf, "__eq__", refuse)
+        assert Node(a, Node(a, b)) == Node(a, Node(a, b))
+
+    def test_equal_trees_hash_equal(self):
+        for word in enumerate_lyndon_words(TERNARY, 6):
+            tree = left_lyndon_tree(word)
+            copy = parse_tree(format_tree(tree), TERNARY)
+            assert tree == copy and hash(tree) == hash(copy), word
