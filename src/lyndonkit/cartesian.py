@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .errors import DuplicateEntry, EmptySequence, InternalError, NotLyndon, SizeMismatch
 from .lyndon import is_lyndon
 from .omega import omega_cmp
-from .trees import Leaf, MagmaTree, Node, _leaves
+from .trees import Leaf, MagmaTree, Node, _dataclass_repr, _leaves
 from .words import Ordering, Word, ensure_nonempty
 
 __all__ = [
@@ -117,9 +117,13 @@ def prefix_standard_permutation(w: Word) -> PrefixStandard:
     return PrefixStandard(tuple(sigma), tuple(by_rank))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecreasingTree:
-    """Binary tree of an injective integer sequence, largest label on top."""
+    """Binary tree of an injective integer sequence, largest label on top.
+
+    Equality, hashing and repr walk the tree with an explicit stack, so no
+    tree depth can exhaust the interpreter's recursion limit.
+    """
 
     label: int
     left: "DecreasingTree | None" = None
@@ -129,6 +133,34 @@ class DecreasingTree:
         for child in (self.left, self.right):
             if child is not None and child.label >= self.label:
                 raise ValueError("child labels must be strictly smaller than the parent")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Pre-order labels with a mark for each empty slot spell out the
+        # shape and the labels, and no such walk is a prefix of another.
+        return _preorder_labels(self) == _preorder_labels(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder_labels(self)))
+
+    def __repr__(self) -> str:
+        return _dataclass_repr(self)
+
+
+def _preorder_labels(tree: DecreasingTree) -> list[int | None]:
+    """Every label in pre-order, with None for each empty slot."""
+    labels: list[int | None] = []
+    stack: list[DecreasingTree | None] = [tree]
+    while stack:
+        tree = stack.pop()
+        if tree is None:
+            labels.append(None)
+        else:
+            labels.append(tree.label)
+            stack.append(tree.right)
+            stack.append(tree.left)
+    return labels
 
 
 def _stack_build(labels: Sequence[int], gaps: Sequence, join: Callable):

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
 
 from .cartesian import _z_array, left_cartesian_tree, prefix_standard_permutation
@@ -281,6 +280,13 @@ def cmd_tree(args) -> int:
     return 0
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """The standard process pool, imported here because only verify --jobs N > 1 uses it."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def _verify_one(symbols: str, text: str):
     """Worker: plain strings in, plain tuples out, so it crosses processes."""
     alphabet = OrderedAlphabet(symbols)
@@ -394,10 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # The parser holds no per-call state, so one serves every call in the
+    # process; building it costs far more than parsing with it.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
     if args.format == "dot" and args.command != "tree":

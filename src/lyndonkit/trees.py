@@ -10,7 +10,7 @@ path from the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
@@ -48,8 +48,8 @@ class Leaf:
 class Node:
     """An internal node with exactly two children.
 
-    Equality and hashing walk the tree with an explicit stack, so no tree
-    depth can exhaust the interpreter's recursion limit.
+    Equality, hashing and repr walk the tree with an explicit stack, so no
+    tree depth can exhaust the interpreter's recursion limit.
     """
 
     left: "MagmaTree"
@@ -70,8 +70,35 @@ class Node:
     def __hash__(self) -> int:
         return hash(tuple(t if isinstance(t, Leaf) else None for t in _preorder(self)))
 
+    def __repr__(self) -> str:
+        return _dataclass_repr(self)
+
 
 MagmaTree = Union[Leaf, Node]
+
+
+def _dataclass_repr(tree) -> str:
+    """The text the dataclass repr gives, written with an explicit stack.
+
+    Field values of the tree's own class are written in place; any other
+    value is written with its own repr.
+    """
+    kind = type(tree)
+    out: list[str] = []
+    stack: list = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        parts: list = [type(item).__qualname__ + "("]
+        for at, field in enumerate(fields(item)):
+            value = getattr(item, field.name)
+            parts.append((", " if at else "") + field.name + "=")
+            parts.append(value if isinstance(value, kind) else repr(value))
+        parts.append(")")
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def _preorder(tree: MagmaTree) -> list[MagmaTree]:

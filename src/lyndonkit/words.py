@@ -111,7 +111,7 @@ class Word:
 
     def text(self) -> str:
         symbols = self.alphabet.symbols
-        return "".join(symbols[i] for i in self.letters)
+        return "".join([symbols[i] for i in self.letters])
 
     def __len__(self) -> int:
         return len(self.letters)

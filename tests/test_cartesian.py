@@ -1,3 +1,4 @@
+from dataclasses import make_dataclass
 from itertools import permutations
 
 import pytest
@@ -142,6 +143,53 @@ class TestDecreasingTree:
             tree = decreasing_tree(alpha)
             assert tree not in seen, (alpha, seen.get(tree))
             seen[tree] = alpha
+
+    def test_repr_matches_the_dataclass_repr(self):
+        for alpha in permutations(range(1, 6)):
+            tree = decreasing_tree(alpha)
+            assert repr(tree) == repr(dataclass_decreasing(tree)), alpha
+
+    def test_equality_and_hash(self):
+        for alpha in permutations(range(1, 5)):
+            tree = decreasing_tree(alpha)
+            for beta in permutations(range(1, 5)):
+                other = decreasing_tree(beta)
+                assert (tree == other) == (alpha == beta), (alpha, beta)
+                assert (tree != other) == (alpha != beta), (alpha, beta)
+            assert hash(tree) == hash(decreasing_tree(alpha))
+        assert DecreasingTree(1) != Leaf(make_word("a", BINARY))
+        assert DecreasingTree(2, DecreasingTree(1)) != DecreasingTree(2, None, DecreasingTree(1))
+
+
+# The dataclass repr DecreasingTree had before it got an iterative one.
+DataclassDecreasing = make_dataclass(
+    "DecreasingTree", ["label", ("left", object, None), ("right", object, None)], frozen=True
+)
+
+
+def dataclass_decreasing(tree):
+    if tree is None:
+        return None
+    return DataclassDecreasing(
+        tree.label, dataclass_decreasing(tree.left), dataclass_decreasing(tree.right)
+    )
+
+
+class TestDeepDecreasingTree:
+    """decreasing_tree(range(1500)) is a left path of 1,500 levels, past the recursion limit."""
+
+    def test_equality_and_hash(self):
+        tree = decreasing_tree(range(1500))
+        assert tree == decreasing_tree(range(1500))
+        assert hash(tree) == hash(decreasing_tree(range(1500)))
+        assert len({tree, decreasing_tree(range(1500))}) == 1
+        assert tree != decreasing_tree([-1, *range(1, 1500)])
+        assert tree != decreasing_tree(range(1499))
+
+    def test_repr(self):
+        expect = "".join(f"DecreasingTree(label={k}, left=" for k in range(1499, 0, -1))
+        expect += "DecreasingTree(label=0, left=None, right=None)" + ", right=None)" * 1499
+        assert repr(decreasing_tree(range(1500))) == expect
 
 
 class TestCompletion:

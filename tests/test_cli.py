@@ -1,7 +1,11 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -432,3 +436,86 @@ class TestUsage:
     def test_bad_kind(self):
         code, _, _ = run_cli(["tree", "ab", "--kind", "middle"])
         assert code == 2
+
+
+# Calls that exercise every option, both with and without each optional
+# flag, in an order where each flag's call is followed by one without it.
+PARSER_SEQUENCE = [
+    ["compare", "aba", "ab", "--six"],
+    ["compare", "aba", "ab"],
+    ["compare", "ab", "abab", "--format", "structured", "--six"],
+    ["compare", "ab", "abab", "--format", "structured"],
+    ["compare", "b", "ba", "--alphabet", "ba"],
+    ["compare", "b", "ba"],
+    ["factorize", "ababaab", "--alphabet", "abc", "--format", "structured"],
+    ["factorize", "ababaab"],
+    ["pstd", "aabab", "--format", "structured", "--alphabet", "ab"],
+    ["pstd", "aabab"],
+    *(
+        ["tree", "aabab", "--kind", kind, "--format", fmt]
+        for kind in ("left", "right", "cartesian")
+        for fmt in ("text", "structured", "dot")
+    ),
+    ["tree", "aabab"],
+    ["tree", "ab", "--kind", "middle"],
+    ["tree", "ba"],
+    ["compare", "ab", "ab", "--format", "dot"],
+    ["compare", "ab", "xy", "--alphabet", "ab"],
+    ["verify", "--max-len", "3", "--alphabet", "abc"],
+    ["verify", "--max-len", "3"],
+    ["verify"],
+    ["--help"],
+    ["tree", "--help"],
+    [],
+    ["frobnicate"],
+]
+
+
+class TestReusedParser:
+    def test_same_as_a_fresh_parser(self, monkeypatch):
+        import lyndonkit.cli
+
+        fresh = {}
+        for argv in PARSER_SEQUENCE:
+            monkeypatch.setattr(lyndonkit.cli, "_parser", None)
+            fresh[tuple(argv)] = run_cli(argv)
+        assert {code for code, _, _ in fresh.values()} == {0, 2}
+
+        monkeypatch.setattr(lyndonkit.cli, "_parser", None)
+        run_cli(["pstd", "ab"])
+        shared = lyndonkit.cli._parser
+        assert shared is not None
+        for argv in PARSER_SEQUENCE + PARSER_SEQUENCE[::-1]:
+            assert run_cli(argv) == fresh[tuple(argv)], argv
+        assert lyndonkit.cli._parser is shared
+
+
+def run_python(*args):
+    import lyndonkit
+
+    src = str(Path(lyndonkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestFreshInterpreter:
+    def test_import_leaves_the_process_pool_unloaded(self):
+        done = run_python(
+            "-c",
+            "import sys, lyndonkit; from lyndonkit.cli import main; "
+            "print('concurrent.futures.process' in sys.modules); "
+            "main(['verify', '--max-len', '2']); "
+            "print('concurrent.futures.process' in sys.modules)",
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == lines[-1] == "False"
+
+    def test_jobs_two_matches_serial(self):
+        serial = run_python("-m", "lyndonkit", "verify", "--max-len", "4")
+        pooled = run_python("-m", "lyndonkit", "verify", "--max-len", "4", "--jobs", "2")
+        assert serial.returncode == pooled.returncode == 0, pooled.stderr
+        assert pooled.stdout == serial.stdout
+        assert serial.stdout.endswith("all checks pass\n")

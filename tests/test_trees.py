@@ -1,3 +1,5 @@
+from dataclasses import make_dataclass
+
 import pytest
 from hypothesis import given
 
@@ -336,6 +338,30 @@ class TestDeepComb:
         other = left_lyndon_tree(w("a" * 1498 + "bb"))
         assert tree != other
         assert tree != Node(tree.left, Node(leaf("a"), leaf("b")))
+
+    def test_repr(self):
+        expect = "Node(left=Leaf(letter=Word('a')), right=" * 1499
+        expect += "Leaf(letter=Word('b'))" + ")" * 1499
+        assert repr(self.tree()) == expect
+
+
+# The dataclass repr Node had before it got an iterative one: the reference.
+DataclassNode = make_dataclass("Node", ["left", "right"], frozen=True)
+
+
+def dataclass_node(tree):
+    if isinstance(tree, Leaf):
+        return tree
+    return DataclassNode(dataclass_node(tree.left), dataclass_node(tree.right))
+
+
+class TestTreeRepr:
+    def test_matches_the_dataclass_repr(self):
+        for alphabet in (BINARY, TERNARY):
+            for word in enumerate_lyndon_words(alphabet, 6):
+                for tree in (left_lyndon_tree(word), right_lyndon_tree(word)):
+                    assert repr(tree) == repr(dataclass_node(tree)), word
+        assert repr(example_tree()) == repr(dataclass_node(example_tree()))
 
 
 class TestTreeEquality:
