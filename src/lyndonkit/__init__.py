@@ -7,146 +7,26 @@ brute-force oracles and a per-word verifier used by the test suite and
 the ``lyndonkit verify`` sweep.
 """
 
-from . import errors
-from .cartesian import (
-    DecreasingTree,
-    PrefixStandard,
-    completion,
-    decreasing_tree,
-    in_order_labels,
-    left_cartesian_tree,
-    prec_cmp,
-    prefix_standard_permutation,
-)
-from .cli import format_tree, main, parse_tree, render_dot
-from .lyndon import (
-    LyndonFactorization,
-    enumerate_lyndon_words,
-    first_lyndon_factor,
-    is_lyndon,
-    last_lyndon_factor,
-    lyndon_factorization,
-)
-from .omega import (
-    OmegaComparison,
-    SixConditions,
-    bergman_chain,
-    comparison_within_first_factor,
-    omega_cmp,
-    omega_mismatch_position,
-    six_conditions,
-)
-from .oracle import (
-    CHECK_NAMES,
-    CheckResult,
-    VerificationReport,
-    first_lyndon_factor_naive,
-    is_lyndon_prefix_omega,
-    is_lyndon_suffix_omega,
-    is_lyndon_via_rotations,
-    is_lyndon_via_suffixes,
-    last_lyndon_factor_naive,
-    left_cartesian_tree_via_prefixes,
-    left_lyndon_tree_naive,
-    lyndon_factorization_naive,
-    omega_cmp_naive,
-    verify_word,
-)
-from .trees import (
-    Leaf,
-    MagmaTree,
-    Node,
-    foliage,
-    internal_addresses,
-    left_foliage,
-    left_lyndon_tree,
-    left_standard_factorization,
-    left_subtrees_sequence,
-    right_lyndon_tree,
-    right_standard_factorization,
-    subtree_at,
-)
-from .words import (
-    FractionalExponent,
-    OrderedAlphabet,
-    Ordering,
-    Word,
-    borders,
-    fractional_power_of,
-    iter_all_words,
-    lex_cmp,
-    make_word,
-    nontrivial_periods,
-    nontrivial_splits,
-    primitive_root,
-)
+from . import cartesian, cli, errors, lyndon, omega, oracle, trees, words
+from .cartesian import *
+from .cli import *
+from .lyndon import *
+from .omega import *
+from .oracle import *
+from .trees import *
+from .words import *
 
 __version__ = "0.1.0"
 
+# Each module lists its own public names once; the package exports them all.
 __all__ = [
     "errors",
-    "Ordering",
-    "OrderedAlphabet",
-    "Word",
-    "FractionalExponent",
-    "make_word",
-    "lex_cmp",
-    "borders",
-    "nontrivial_periods",
-    "fractional_power_of",
-    "primitive_root",
-    "nontrivial_splits",
-    "iter_all_words",
-    "OmegaComparison",
-    "SixConditions",
-    "omega_cmp",
-    "omega_mismatch_position",
-    "comparison_within_first_factor",
-    "six_conditions",
-    "bergman_chain",
-    "LyndonFactorization",
-    "is_lyndon",
-    "is_lyndon_via_suffixes",
-    "is_lyndon_via_rotations",
-    "is_lyndon_suffix_omega",
-    "is_lyndon_prefix_omega",
-    "lyndon_factorization",
-    "first_lyndon_factor",
-    "last_lyndon_factor",
-    "enumerate_lyndon_words",
-    "Leaf",
-    "Node",
-    "MagmaTree",
-    "foliage",
-    "left_standard_factorization",
-    "right_standard_factorization",
-    "left_lyndon_tree",
-    "right_lyndon_tree",
-    "subtree_at",
-    "left_subtrees_sequence",
-    "left_foliage",
-    "internal_addresses",
-    "prec_cmp",
-    "PrefixStandard",
-    "prefix_standard_permutation",
-    "DecreasingTree",
-    "decreasing_tree",
-    "in_order_labels",
-    "completion",
-    "left_cartesian_tree",
-    "left_cartesian_tree_via_prefixes",
-    "omega_cmp_naive",
-    "lyndon_factorization_naive",
-    "first_lyndon_factor_naive",
-    "last_lyndon_factor_naive",
-    "left_lyndon_tree_naive",
-    "CheckResult",
-    "VerificationReport",
-    "CHECK_NAMES",
-    "verify_word",
-    "format_tree",
-    "parse_tree",
-    "render_dot",
-    "main",
+    *words.__all__,
+    *omega.__all__,
+    *lyndon.__all__,
+    *trees.__all__,
+    *cartesian.__all__,
+    *oracle.__all__,
+    *cli.__all__,
     "__version__",
 ]

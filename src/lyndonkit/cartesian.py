@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DuplicateEntry, EmptySequence, InternalError, NotLyndon, SizeMismatch
 from .lyndon import is_lyndon
 from .omega import omega_cmp
-from .trees import Leaf, MagmaTree, Node, _dataclass_repr, _leaves
+from .trees import Leaf, MagmaTree, _leaves, _node, _stack_build
 from .words import Ordering, Word, ensure_nonempty
 
 __all__ = [
@@ -145,7 +145,18 @@ class DecreasingTree:
         return hash(tuple(_preorder_labels(self)))
 
     def __repr__(self) -> str:
-        return _dataclass_repr(self)
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item is None:
+                out.append("None")
+            else:
+                out.append(f"{type(item).__qualname__}(label={item.label!r}, left=")
+                stack += (")", item.right, ", right=", item.left)
+        return "".join(out)
 
 
 def _preorder_labels(tree: DecreasingTree) -> list[int | None]:
@@ -161,28 +172,6 @@ def _preorder_labels(tree: DecreasingTree) -> list[int | None]:
             stack.append(tree.right)
             stack.append(tree.left)
     return labels
-
-
-def _stack_build(labels: Sequence[int], gaps: Sequence, join: Callable):
-    """Decreasing tree of distinct labels, built in one stack pass.
-
-    The stack holds a decreasing run of labels, each with its finished left
-    subtree.  A larger label pops the smaller ones, and each popped label
-    becomes the right subtree of the one under it.  gaps[k] fills the empty
-    slot just left of labels[k], and gaps[-1] the last slot;
-    join(label, left, right) makes a node.
-    """
-    stack: list[tuple[int, object]] = []
-    for label, sub in zip(labels, gaps):
-        while stack and stack[-1][0] < label:
-            top, left = stack.pop()
-            sub = join(top, left, sub)
-        stack.append((label, sub))
-    sub = gaps[len(labels)]
-    while stack:
-        top, left = stack.pop()
-        sub = join(top, left, sub)
-    return sub
 
 
 def decreasing_tree(alpha: Sequence[int]) -> DecreasingTree:
@@ -207,11 +196,6 @@ def in_order_labels(tree: DecreasingTree | None) -> tuple[int, ...]:
         labels.append(tree.label)
         tree = tree.right
     return tuple(labels)
-
-
-def _node(label: int, left: MagmaTree, right: MagmaTree) -> Node:
-    # Completion keeps the skeleton's shape; the labels have done their job.
-    return Node(left, right)
 
 
 def completion(skeleton: DecreasingTree, w: Word) -> MagmaTree:

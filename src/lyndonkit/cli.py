@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
 
 from .cartesian import _z_array, left_cartesian_tree, prefix_standard_permutation
 from .errors import LyndonKitError
@@ -23,10 +22,17 @@ from .lyndon import (
 )
 from .omega import omega_cmp, six_conditions
 from .oracle import CHECK_NAMES, verify_word
-from .trees import Leaf, MagmaTree, Node, left_lyndon_tree, right_lyndon_tree
+from .trees import (
+    MagmaTree,
+    _write_tree,
+    format_tree,
+    left_lyndon_tree,
+    render_dot,
+    right_lyndon_tree,
+)
 from .words import Ordering, OrderedAlphabet, Word, iter_all_words, make_word
 
-__all__ = ["main", "format_tree", "parse_tree", "render_dot"]
+__all__ = ["main"]
 
 _SIX_LABELS = (
     "u^ω < v^ω",
@@ -38,107 +44,10 @@ _SIX_LABELS = (
 )
 
 
-def _write_tree(
-    tree: MagmaTree, opening: str, separator: str, closing: str, leaf: Callable[[str], str]
-) -> str:
-    """Write a node as opening, left, separator, right, closing, and a leaf as leaf(symbol)."""
-    # One walk with an explicit stack of pending subtrees and punctuation,
-    # so no tree depth can exhaust the interpreter's recursion limit.
-    out: list[str] = []
-    stack: list[MagmaTree | str] = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Node):
-            out.append(opening)
-            stack += (closing, item.right, separator, item.left)
-        else:
-            letter = item.letter
-            out.append(leaf(letter.alphabet.symbols[letter.letters[0]]))
-    return "".join(out)
-
-
-def format_tree(tree: MagmaTree) -> str:
-    """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
-    return _write_tree(tree, "(", ",", ")", str)
-
-
 def _tree_structured(tree: MagmaTree, alphabet: OrderedAlphabet) -> str:
     """The JSON text json.dumps gives for nested {"l": ..., "r": ...} and {"leaf": ...}."""
     leaves = {s: '{"leaf": ' + json.dumps(s) + "}" for s in alphabet.symbols}
     return _write_tree(tree, '{"l": ', ', "r": ', "}", leaves.__getitem__)
-
-
-def parse_tree(text: str, alphabet: OrderedAlphabet) -> MagmaTree:
-    """Inverse of format_tree.  Raises ValueError on malformed input."""
-    # One left-to-right scan.  Each open node on the stack holds None while
-    # its left subtree is read, then that subtree while its right one is.
-    pending: list[MagmaTree | None] = []
-    at = 0
-    while True:
-        if at >= len(text):
-            raise ValueError("unexpected end of tree text")
-        if text[at] == "(":
-            pending.append(None)
-            at += 1
-            continue
-        if text[at] in "),":
-            raise ValueError(f"unexpected {text[at]!r} at offset {at}")
-        tree: MagmaTree = Leaf(make_word(text[at], alphabet))
-        at += 1
-        while pending and pending[-1] is not None:
-            if at >= len(text) or text[at] != ")":
-                raise ValueError(f"expected ')' at offset {at}")
-            tree = Node(pending.pop(), tree)
-            at += 1
-        if not pending:
-            break
-        if at >= len(text) or text[at] != ",":
-            raise ValueError(f"expected ',' at offset {at}")
-        pending[-1] = tree
-        at += 1
-    if at != len(text):
-        raise ValueError(f"trailing input at offset {at}")
-    return tree
-
-
-def render_dot(tree: MagmaTree) -> str:
-    """DOT digraph with pre-order node ids.
-
-    Internal nodes are labeled with their left foliage, leaves with
-    their letter, so the output is byte-stable for a given tree.
-    """
-    # One pre-order walk.  Leaves arrive left to right, so when a node's
-    # right child comes up, the leaves seen so far are its left foliage.
-    spans: list[tuple[int, int]] = []  # each label as a slice of the foliage
-    right: list[int] = []  # pre-order id of the right child; -1 for a leaf
-    letters: list[str] = []
-    stack: list[tuple[MagmaTree, int]] = [(tree, -1)]
-    while stack:
-        node, parent = stack.pop()
-        me = len(spans)
-        if parent >= 0:
-            spans[parent] = (0, len(letters))
-            right[parent] = me
-        spans.append((len(letters), len(letters) + 1))
-        right.append(-1)
-        if isinstance(node, Leaf):
-            letters.append(node.letter.text())
-        else:
-            stack.append((node.right, me))
-            stack.append((node.left, -1))
-    text = "".join(letters)
-    lines = ["digraph {"]
-    for me, (start, stop) in enumerate(spans):
-        label = text[start:stop].replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  n{me} [label="{label}"];')
-    for me, child in enumerate(right):
-        if child >= 0:
-            lines.append(f"  n{me} -> n{me + 1};")
-            lines.append(f"  n{me} -> n{child};")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def _alphabet_for(symbols: str | None, *texts: str) -> OrderedAlphabet:
@@ -290,8 +199,9 @@ def ProcessPoolExecutor(max_workers: int):
 def _verify_one(symbols: str, text: str):
     """Worker: plain strings in, plain tuples out, so it crosses processes."""
     alphabet = OrderedAlphabet(symbols)
-    report = verify_word(make_word(text, alphabet))
-    return text, tuple((c.name, c.passed, c.detail) for c in report.checks)
+    word = make_word(text, alphabet)
+    report = verify_word(word)
+    return text, is_lyndon(word), tuple((c.name, c.passed, c.detail) for c in report.checks)
 
 
 def _tally(results, max_len: int) -> tuple[list[int], dict[str, int]] | None:
@@ -301,9 +211,8 @@ def _tally(results, max_len: int) -> tuple[list[int], dict[str, int]] | None:
     """
     lyndon_per_length = [0] * max_len
     passes = {name: 0 for name in CHECK_NAMES}
-    for text, checks in results:
-        ran = {name for name, _, _ in checks}
-        if "trees-coincide" in ran:
+    for text, lyndon, checks in results:
+        if lyndon:
             lyndon_per_length[len(text) - 1] += 1
         for name, ok, detail in checks:
             if not ok:
@@ -323,8 +232,11 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)
         return 2
-    jobs = min(args.jobs, os.cpu_count() or 1)
     symbols = args.alphabet if args.alphabet is not None else "ab"
+    if not symbols:
+        print("--alphabet must have at least one symbol", file=sys.stderr)
+        return 2
+    jobs = min(args.jobs, os.cpu_count() or 1)
     alphabet = OrderedAlphabet(symbols)
     words = [w.text() for w in iter_all_words(alphabet, args.max_len)]
     if jobs > 1:

@@ -5,17 +5,18 @@ foliage is the word read off the leaves from left to right.  Iterating the
 left (or right) standard factorization of a Lyndon word grows such a tree.
 
 Internal nodes are addressed by strings over 'L' and 'R' describing the
-path from the root.
+path from the root.  A tree also has a text form, (l,r) with letters as
+leaves, and a DOT form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
 from .lyndon import _duval_cuts, _lyndon_prefix_lengths, is_lyndon
-from .words import Word, _join, ensure_nonempty
+from .words import OrderedAlphabet, Word, _join, ensure_nonempty, make_word
 
 __all__ = [
     "Leaf",
@@ -30,6 +31,9 @@ __all__ = [
     "left_foliage",
     "internal_addresses",
     "subtree_at",
+    "format_tree",
+    "parse_tree",
+    "render_dot",
 ]
 
 
@@ -58,47 +62,18 @@ class Node:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
             return NotImplemented
-        # Pre-order walks of complete binary trees form a prefix-free code,
-        # so two trees differ exactly when their walks differ at some step.
-        for a, b in zip(_preorder(self), _preorder(other)):
-            if a is b or isinstance(a, Node) and isinstance(b, Node):
-                continue
-            if not (isinstance(a, Leaf) and isinstance(b, Leaf) and a == b):
-                return False
-        return True
+        return _shape(self) == _shape(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(t if isinstance(t, Leaf) else None for t in _preorder(self)))
+        return hash(_shape(self))
 
     def __repr__(self) -> str:
-        return _dataclass_repr(self)
+        return _write_tree(
+            self, "Node(left=", ", right=", ")", lambda s: f"Leaf(letter=Word({s!r}))"
+        )
 
 
 MagmaTree = Union[Leaf, Node]
-
-
-def _dataclass_repr(tree) -> str:
-    """The text the dataclass repr gives, written with an explicit stack.
-
-    Field values of the tree's own class are written in place; any other
-    value is written with its own repr.
-    """
-    kind = type(tree)
-    out: list[str] = []
-    stack: list = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        parts: list = [type(item).__qualname__ + "("]
-        for at, field in enumerate(fields(item)):
-            value = getattr(item, field.name)
-            parts.append((", " if at else "") + field.name + "=")
-            parts.append(value if isinstance(value, kind) else repr(value))
-        parts.append(")")
-        stack.extend(reversed(parts))
-    return "".join(out)
 
 
 def _preorder(tree: MagmaTree) -> list[MagmaTree]:
@@ -112,6 +87,15 @@ def _preorder(tree: MagmaTree) -> list[MagmaTree]:
             stack.append(tree.right)
             stack.append(tree.left)
     return order
+
+
+def _shape(tree: MagmaTree) -> tuple:
+    """The tree as one tuple: its pre-order walk, None for each node, each leaf itself.
+
+    Pre-order walks of complete binary trees form a prefix-free code, so
+    two trees are equal exactly when these tuples are.
+    """
+    return tuple([None if isinstance(t, Node) else t for t in _preorder(tree)])
 
 
 def _leaf_letters(tree: MagmaTree) -> list[Word]:
@@ -164,35 +148,56 @@ def right_standard_factorization(w: Word) -> tuple[Word, Word]:
     return w[:cut], w[cut:]
 
 
+def _stack_build(labels: Sequence[int], gaps: Sequence, join: Callable):
+    """Decreasing tree of distinct labels, built in one stack pass.
+
+    The stack holds a decreasing run of labels, each with its finished left
+    subtree.  A larger label pops the smaller ones, and each popped label
+    becomes the right subtree of the one under it.  gaps[k] fills the empty
+    slot just left of labels[k], and gaps[-1] the last slot;
+    join(label, left, right) makes a node.
+    """
+    stack: list[tuple[int, object]] = []
+    for label, sub in zip(labels, gaps):
+        while stack and stack[-1][0] < label:
+            top, left = stack.pop()
+            sub = join(top, left, sub)
+        stack.append((label, sub))
+    sub = gaps[len(labels)]
+    while stack:
+        top, left = stack.pop()
+        sub = join(top, left, sub)
+    return sub
+
+
+def _node(label: int, left: MagmaTree, right: MagmaTree) -> Node:
+    # The labels have fixed the shape; the tree keeps only the letters.
+    return Node(left, right)
+
+
 def _build_blocks(w: Word, spine: Callable[[int, int], list[int]]) -> MagmaTree:
-    """Tree over w grown from blocks w[lo:hi], without recursion.
+    """Tree over w grown from blocks w[lo:hi], as the decreasing tree of cut ranks.
 
     spine(lo, hi) returns cuts lo < c_1 < ... < c_m = hi of a block of two
     or more letters; the block's tree is the left fold of the trees of its
-    parts w[lo:c_1], w[c_1:c_2], ..., w[c_(m-1):hi].
+    parts w[lo:c_1], w[c_1:c_2], ..., w[c_(m-1):hi].  So c_(m-1) splits the
+    block at its root, c_(m-2) its left child, and so on: ranking a block's
+    cuts from the last down, and every cut inside its parts lower still,
+    makes the tree the decreasing tree of the ranks.
     """
-    leaves = _leaves(w)
-    blocks = [(0, len(w.letters))]
-    first_part = []
-    # Breadth first: the parts of a block are appended next to each other.
+    n = len(w.letters)
+    ranks = [0] * n  # ranks[k] ranks the cut before letter k
+    rank = n
+    blocks = [(0, n)]
+    # Breadth first, so a block's cuts are ranked before its parts' cuts.
     for lo, hi in blocks:
-        first_part.append(len(blocks))
         if hi - lo > 1:
             cuts = spine(lo, hi)
+            for cut in reversed(cuts[:-1]):
+                rank -= 1
+                ranks[cut] = rank
             blocks.extend(zip([lo] + cuts, cuts))
-    first_part.append(len(blocks))
-    # Parts come after their block, so building back to front finds them done.
-    built: list[MagmaTree] = [None] * len(blocks)  # type: ignore[list-item]
-    for index in range(len(blocks) - 1, -1, -1):
-        parts = range(first_part[index], first_part[index + 1])
-        if not parts:
-            built[index] = leaves[blocks[index][0]]
-            continue
-        tree = built[parts[0]]
-        for part in parts[1:]:
-            tree = Node(tree, built[part])
-        built[index] = tree
-    return built[0]
+    return _stack_build(ranks[1:], _leaves(w), _node)
 
 
 def left_lyndon_tree(w: Word) -> MagmaTree:
@@ -289,3 +294,100 @@ def internal_addresses(tree: MagmaTree) -> Iterator[str]:
             yield address
             stack.append((tree.right, address + "R"))
             stack.append((tree.left, address + "L"))
+
+
+def _write_tree(
+    tree: MagmaTree, opening: str, separator: str, closing: str, leaf: Callable[[str], str]
+) -> str:
+    """Write a node as opening, left, separator, right, closing, and a leaf as leaf(symbol)."""
+    # One walk with an explicit stack of pending subtrees and punctuation,
+    # so no tree depth can exhaust the interpreter's recursion limit.
+    out: list[str] = []
+    stack: list[MagmaTree | str] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Node):
+            out.append(opening)
+            stack += (closing, item.right, separator, item.left)
+        else:
+            letter = item.letter
+            out.append(leaf(letter.alphabet.symbols[letter.letters[0]]))
+    return "".join(out)
+
+
+def format_tree(tree: MagmaTree) -> str:
+    """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
+    return _write_tree(tree, "(", ",", ")", str)
+
+
+def parse_tree(text: str, alphabet: OrderedAlphabet) -> MagmaTree:
+    """Inverse of format_tree.  Raises ValueError on malformed input."""
+    # One left-to-right scan.  Each open node on the stack holds None while
+    # its left subtree is read, then that subtree while its right one is.
+    pending: list[MagmaTree | None] = []
+    at = 0
+    while True:
+        if at >= len(text):
+            raise ValueError("unexpected end of tree text")
+        if text[at] == "(":
+            pending.append(None)
+            at += 1
+            continue
+        if text[at] in "),":
+            raise ValueError(f"unexpected {text[at]!r} at offset {at}")
+        tree: MagmaTree = Leaf(make_word(text[at], alphabet))
+        at += 1
+        while pending and pending[-1] is not None:
+            if at >= len(text) or text[at] != ")":
+                raise ValueError(f"expected ')' at offset {at}")
+            tree = Node(pending.pop(), tree)
+            at += 1
+        if not pending:
+            break
+        if at >= len(text) or text[at] != ",":
+            raise ValueError(f"expected ',' at offset {at}")
+        pending[-1] = tree
+        at += 1
+    if at != len(text):
+        raise ValueError(f"trailing input at offset {at}")
+    return tree
+
+
+def render_dot(tree: MagmaTree) -> str:
+    """DOT digraph with pre-order node ids.
+
+    Internal nodes are labeled with their left foliage, leaves with
+    their letter, so the output is byte-stable for a given tree.
+    """
+    # One pre-order walk.  Leaves arrive left to right, so when a node's
+    # right child comes up, the leaves seen so far are its left foliage.
+    spans: list[tuple[int, int]] = []  # each label as a slice of the foliage
+    right: list[int] = []  # pre-order id of the right child; -1 for a leaf
+    letters: list[str] = []
+    stack: list[tuple[MagmaTree, int]] = [(tree, -1)]
+    while stack:
+        node, parent = stack.pop()
+        me = len(spans)
+        if parent >= 0:
+            spans[parent] = (0, len(letters))
+            right[parent] = me
+        spans.append((len(letters), len(letters) + 1))
+        right.append(-1)
+        if isinstance(node, Leaf):
+            letters.append(node.letter.text())
+        else:
+            stack.append((node.right, me))
+            stack.append((node.left, -1))
+    text = "".join(letters)
+    lines = ["digraph {"]
+    for me, (start, stop) in enumerate(spans):
+        label = text[start:stop].replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{me} [label="{label}"];')
+    for me, child in enumerate(right):
+        if child >= 0:
+            lines.append(f"  n{me} -> n{me + 1};")
+            lines.append(f"  n{me} -> n{child};")
+    lines.append("}")
+    return "\n".join(lines)

@@ -30,8 +30,6 @@ __all__ = [
     "primitive_root",
     "nontrivial_splits",
     "iter_all_words",
-    "ensure_nonempty",
-    "ensure_same_alphabet",
 ]
 
 

@@ -365,6 +365,20 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1] == "all checks pass"
 
+    def test_lyndon_count_is_independent_of_the_checks(self, monkeypatch):
+        import lyndonkit.oracle
+
+        kept = tuple(c for c in lyndonkit.oracle._CHECKS if c[0] != "trees-coincide")
+        monkeypatch.setattr(lyndonkit.oracle, "_CHECKS", kept)
+        code, out, _ = run_cli(["verify", "--max-len", "4"])
+        assert code == 0
+        assert "lyndon words per length: 2,1,2,3" in out.splitlines()
+
+    def test_empty_alphabet_rejected(self):
+        code, out, err = run_cli(["verify", "--max-len", "3", "--alphabet", ""])
+        assert (code, out) == (2, "")
+        assert err == "--alphabet must have at least one symbol\n"
+
     def test_jobs_two_matches_serial(self):
         code1, out1, _ = run_cli(["verify", "--max-len", "4"])
         code2, out2, _ = run_cli(["verify", "--max-len", "4", "--jobs", "2"])
