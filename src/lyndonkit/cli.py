@@ -8,6 +8,7 @@ text (default), structured (JSON), or dot (trees only).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -80,7 +81,8 @@ def cmd_compare(args) -> int:
         print(f"equal: powers of {result.common_root.text()}")
     else:
         sign = "<ω" if result.outcome is Ordering.LESS else ">ω"
-        print(f"{u.text()} {sign} {v.text()}, mismatch at {result.mismatch_position}")
+        # make_word accepted every character, so the input is the word's text.
+        print(f"{args.u} {sign} {args.v}, mismatch at {result.mismatch_position}")
     if six is not None:
         for label, value in zip(_SIX_LABELS, six):
             print(f"{label}: {'true' if value else 'false'}")
@@ -88,32 +90,28 @@ def cmd_compare(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    alphabet = _alphabet_for(args.alphabet, args.w)
-    w = make_word(args.w, alphabet)
+    text = args.w
+    alphabet = _alphabet_for(args.alphabet, text)
+    w = make_word(text, alphabet)
     factorization = lyndon_factorization(w)
     first = first_lyndon_factor(w)
     last = last_lyndon_factor(w)
     if first != factorization.factors[0] or last != factorization.factors[-1]:
         print(
-            f"cross-check failed on {w.text()!r}: "
+            f"cross-check failed on {text!r}: "
             f"ends {first.text()},{last.text()} vs factorization",
             file=sys.stderr,
         )
         return 1
+    # The factors tile w, so each one's text is a slice of the input.
+    cuts = list(itertools.accumulate((len(f) for f in factorization.factors), initial=0))
+    factors = [text[a:b] for a, b in zip(cuts, cuts[1:])]
     if args.format == "structured":
-        print(
-            json.dumps(
-                {
-                    "factors": [f.text() for f in factorization.factors],
-                    "first": first.text(),
-                    "last": last.text(),
-                }
-            )
-        )
+        print(json.dumps({"factors": factors, "first": factors[0], "last": factors[-1]}))
         return 0
-    print("".join(f"({f.text()})" for f in factorization.factors))
-    print(f"first: {first.text()}")
-    print(f"last: {last.text()}")
+    print("".join(f"({f})" for f in factors))
+    print(f"first: {factors[0]}")
+    print(f"last: {factors[-1]}")
     return 0
 
 

@@ -99,8 +99,11 @@ def is_lyndon(w: Word) -> bool:
 def lyndon_factorization(w: Word) -> LyndonFactorization:
     """The unique nonincreasing factorization into Lyndon words (Duval's scan)."""
     ensure_nonempty(w)
-    cuts = _duval_cuts(w.letters, 0, len(w.letters))
-    return LyndonFactorization(tuple(w[a:b] for a, b in zip(cuts, cuts[1:])))
+    ls = w.letters
+    cuts = _duval_cuts(ls, 0, len(ls))
+    return LyndonFactorization(
+        tuple([Word._make(w.alphabet, ls[a:b]) for a, b in zip(cuts, cuts[1:])])
+    )
 
 
 def first_lyndon_factor(w: Word) -> Word:

@@ -9,6 +9,7 @@ and Wilf bound.  When uv = vu the extensions coincide.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .errors import OmegaEqual, PreconditionFailed
@@ -67,31 +68,66 @@ class SixConditions(NamedTuple):
 _LESS_AT_FIRST = OmegaComparison(Ordering.LESS, 1, None)
 _GREATER_AT_FIRST = OmegaComparison(Ordering.GREATER, 1, None)
 
+# Shortest pair of words that omega_cmp compares in place, without building
+# uv and vu.  Shorter pairs, such as the sweep's, take fewer interpreter
+# steps to concatenate and scan once.
+_IN_PLACE_MIN_LEN = 64
 
-def _first_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
-    """Index of the first letter where equal-length a and b differ, None if equal.
 
-    After the first letter, gallops over windows [lo, 2 lo) of doubling
-    length, then bisects the window that holds the difference.  Every
-    comparison is one tuple slice comparison, so an early difference costs
-    O(1) interpreter steps and a late one O(log n).
+def _first_difference(a: tuple[int, ...], b: tuple[int, ...], n: int) -> int | None:
+    """Index of the first letter where a[:n] and b[:n] differ, None if they agree.
+
+    Both a and b hold at least n letters.  After the first letter, gallops
+    over windows [lo, 2 lo) of doubling length, then bisects the window that
+    holds the difference.  Every comparison is one tuple slice comparison,
+    so an early difference costs O(1) interpreter steps and a late one
+    O(log n).
     """
     if a[0] != b[0]:
         return 0
-    n = len(a)
     lo, hi = 1, 2
     while a[lo:hi] == b[lo:hi]:
         if hi >= n:
             return None
         lo, hi = hi, 2 * hi
-    # a[:lo] == b[:lo] and a[lo:hi] != b[lo:hi]; slices stop at n.
+    # a[:lo] == b[:lo] and a[lo:hi] != b[lo:hi], where a window past the
+    # end of the shorter word differs in length.  The difference found may
+    # lie past n.
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if a[lo:mid] == b[lo:mid]:
             lo = mid
         else:
             hi = mid
-    return lo
+    return lo if lo < n else None
+
+
+def _concatenations_differ(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """First index i where a + b and b + a differ, with their letters there.
+
+    Returns (i, (a + b)[i], (b + a)[i]), or None when a + b == b + a.
+    Neither concatenation is built: with p = |a| <= q = |b|, the two read
+    a against b[:p], then b[:q - p] against b[p:], then b[q - p:] against
+    a, so the scans copy at most q letters besides their windows.
+    """
+    p, q = len(a), len(b)
+    if p > q:
+        found = _concatenations_differ(b, a)
+        return None if found is None else (found[0], found[2], found[1])
+    i = _first_difference(a, b, p)
+    if i is not None:
+        return i, a[i], b[i]
+    if p == q:
+        return None
+    rest = b[p:]
+    i = _first_difference(b, rest, q - p)
+    if i is not None:
+        return p + i, b[i], rest[i]
+    tail = b[q - p:]
+    i = _first_difference(tail, a, p)
+    if i is not None:
+        return q + i, tail[i], a[i]
+    return None
 
 
 def omega_cmp(u: Word, v: Word) -> OmegaComparison:
@@ -111,13 +147,21 @@ def omega_cmp(u: Word, v: Word) -> OmegaComparison:
         ensure_nonempty(v)
     if a[0] != b[0]:
         return _LESS_AT_FIRST if a[0] < b[0] else _GREATER_AT_FIRST
-    uv, vu = a + b, b + a
-    i = _first_difference(uv, vu)
-    if i is None:
-        root, _ = primitive_root(u)
-        return OmegaComparison(Ordering.EQUAL, None, root)
-    outcome = Ordering.LESS if uv[i] < vu[i] else Ordering.GREATER
-    return OmegaComparison(outcome, i + 1, None)
+    if len(a) < _IN_PLACE_MIN_LEN or len(b) < _IN_PLACE_MIN_LEN:
+        uv, vu = a + b, b + a
+        i = _first_difference(uv, vu, len(uv))
+        if i is not None:
+            outcome = Ordering.LESS if uv[i] < vu[i] else Ordering.GREATER
+            return OmegaComparison(outcome, i + 1, None)
+    else:
+        found = _concatenations_differ(a, b)
+        if found is not None:
+            i, x, y = found
+            outcome = Ordering.LESS if x < y else Ordering.GREATER
+            return OmegaComparison(outcome, i + 1, None)
+    # uv = vu: both are powers of their common prefix of gcd length.
+    root, _ = primitive_root(Word._make(u.alphabet, a[:gcd(len(a), len(b))]))
+    return OmegaComparison(Ordering.EQUAL, None, root)
 
 
 def omega_mismatch_position(u: Word, v: Word) -> int | None:

@@ -90,12 +90,25 @@ def _preorder(tree: MagmaTree) -> list[MagmaTree]:
 
 
 def _shape(tree: MagmaTree) -> tuple:
-    """The tree as one tuple: its pre-order walk, None for each node, each leaf itself.
+    """The tree as one tuple: its pre-order walk, None for each node and
+    the alphabet and rank of each leaf.
 
     Pre-order walks of complete binary trees form a prefix-free code, so
-    two trees are equal exactly when these tuples are.
+    two trees are equal exactly when these tuples are.  Leaves over one
+    alphabet object then compare by identity and an int, not through
+    `Leaf.__eq__` and `Word.__eq__`.
     """
-    return tuple([None if isinstance(t, Node) else t for t in _preorder(tree)])
+    shape: list = []
+    stack = [tree]
+    while stack:
+        tree = stack.pop()
+        if isinstance(tree, Node):
+            shape.append(None)
+            stack += (tree.right, tree.left)
+        else:
+            letter = tree.letter
+            shape += (letter.alphabet, letter.letters[0])
+    return tuple(shape)
 
 
 def _leaf_letters(tree: MagmaTree) -> list[Word]:

@@ -46,9 +46,13 @@ class OrderedAlphabet:
 
     The declared order is the only order the package ever uses.  Reversing
     the symbol list yields the opposite order; no other machinery is needed.
+
+    An alphabet of at most 256 symbols also keeps the `str.translate` tables
+    that let `make_word` and `Word.text` convert a whole word at C speed,
+    one rank per Latin-1 byte.
     """
 
-    __slots__ = ("symbols", "rank")
+    __slots__ = ("symbols", "rank", "_encoding", "_ranks", "_decoding")
 
     def __init__(self, symbols: Iterable[str]) -> None:
         syms = tuple(symbols)
@@ -58,6 +62,17 @@ class OrderedAlphabet:
             raise ValueError(f"alphabet symbols must be distinct: {''.join(syms)!r}")
         self.symbols = syms
         self.rank = {s: i for i, s in enumerate(syms)}
+        n = len(syms)
+        self._encoding = self._ranks = self._decoding = None
+        if n <= 256:
+            self._decoding = dict(zip(range(n), map(ord, syms)))
+            if max(syms, default="") <= "\xff":
+                # Symbol to rank, and every other character below chr(n) to
+                # chr(256), which Latin-1 cannot encode, so no stray
+                # character passes for a rank.
+                self._encoding = dict.fromkeys(range(n), 256)
+                self._encoding.update(zip(map(ord, syms), range(n)))
+                self._ranks = bytes(range(n))
 
     def reversed(self) -> "OrderedAlphabet":
         """The same symbols under the opposite order."""
@@ -108,8 +123,11 @@ class Word:
         return word
 
     def text(self) -> str:
-        symbols = self.alphabet.symbols
-        return "".join([symbols[i] for i in self.letters])
+        decoding = self.alphabet._decoding
+        if decoding is None:
+            symbols = self.alphabet.symbols
+            return "".join([symbols[i] for i in self.letters])
+        return bytearray(self.letters).decode("latin-1").translate(decoding)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -193,7 +211,22 @@ def _join(words: Sequence[Word]) -> Word:
 
 
 def make_word(text: Iterable[str], alphabet: OrderedAlphabet) -> Word:
-    """Encode a character sequence as a word; error positions are 1-based."""
+    """Encode a character sequence as a word; error positions are 1-based.
+
+    A str over a Latin-1 alphabet of at most 256 symbols is encoded with
+    one table lookup per letter in C: each symbol becomes the byte of its
+    rank, and any other character either fails the Latin-1 encoding or
+    leaves a byte that is no rank.  Everything else, and every input with
+    an unknown character, goes one letter at a time.
+    """
+    if alphabet._encoding is not None and isinstance(text, str):
+        try:
+            data = text.translate(alphabet._encoding).encode("latin-1")
+        except UnicodeEncodeError:
+            pass
+        else:
+            if not data.translate(None, alphabet._ranks):
+                return Word._make(alphabet, tuple(data))
     rank = alphabet.rank
     chars = text if isinstance(text, str) else tuple(text)
     try:
@@ -254,7 +287,9 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     ls = w.letters
     n = len(ls)
     for d in range(1, n + 1):
-        if n % d == 0 and ls[:d] * (n // d) == ls:
+        # A period d must first survive its next d letters, an O(d) check
+        # that rejects most candidates before the O(n) one.
+        if n % d == 0 and ls[d:2 * d] == ls[:min(d, n - d)] and ls[:d] * (n // d) == ls:
             return Word._make(w.alphabet, ls[:d]), n // d
     raise AssertionError("unreachable: every word is a power of itself")
 

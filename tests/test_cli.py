@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -450,6 +451,116 @@ class TestUsage:
     def test_bad_kind(self):
         code, _, _ = run_cli(["tree", "ab", "--kind", "middle"])
         assert code == 2
+
+
+LONG = 16_000
+GREEK = str.maketrans("ab", "αβ")
+
+# The --six labels, in the order the CLI prints them, each with its pair.
+SIX = (
+    ("u^ω < v^ω", lambda u, v: (u, v)),
+    ("(uv)^ω < v^ω", lambda u, v: (u + v, v)),
+    ("u^ω < (vu)^ω", lambda u, v: (u, v + u)),
+    ("(uv)^ω < (vu)^ω", lambda u, v: (u + v, v + u)),
+    ("u^ω < (uv)^ω", lambda u, v: (u, u + v)),
+    ("(vu)^ω < v^ω", lambda u, v: (v + u, v)),
+)
+
+
+def extensions(x: str, y: str) -> tuple[str, str]:
+    """The first |x| + |y| letters of x^ω and y^ω, where they differ if ever."""
+    n = len(x) + len(y)
+    return (x * (n // len(x) + 1))[:n], (y * (n // len(y) + 1))[:n]
+
+
+def expected_compare(u: str, v: str, six: bool) -> str:
+    """compare's text output, from the extensions written out letter by letter."""
+    eu, ev = extensions(u, v)
+    i = next((k for k in range(len(eu)) if eu[k] != ev[k]), None)
+    if i is None:
+        d = next(d for d in range(1, len(u) + 1) if u[:d] * (len(u) // d) == u)
+        lines = [f"equal: powers of {u[:d]}"]
+    else:
+        lines = [f"{u} {'<ω' if eu[i] < ev[i] else '>ω'} {v}, mismatch at {i + 1}"]
+    if six:
+        for label, pair in SIX:
+            x, y = extensions(*pair(u, v))
+            lines.append(f"{label}: {'true' if x < y else 'false'}")
+    return "".join(line + "\n" for line in lines)
+
+
+def is_lyndon_text(x: str) -> bool:
+    return all(x < x[i:] + x[:i] for i in range(1, len(x)))
+
+
+def lyndon_concatenation(rng: random.Random, n: int) -> list[str]:
+    """Lyndon words of n letters in all, in nonincreasing order.
+
+    By the Chen-Fox-Lyndon theorem they are the factorization of their
+    concatenation.
+    """
+    pool = ["b", "abb", "ab", "aabab", "aab", "aaabab", "aaab", "a"]
+    assert all(map(is_lyndon_text, pool))
+    factors = []
+    total = 0
+    # Stop short enough that no drawn word overshoots n; fill up with a's.
+    while total < n - max(map(len, pool)):
+        factors.append(rng.choice(pool))
+        total += len(factors[-1])
+    factors += ["a"] * (n - total)
+    return sorted(factors, reverse=True)
+
+
+def long_compare_pairs() -> dict[str, tuple[str, str]]:
+    rng = random.Random(10)
+    text = "".join(rng.choices("ab", k=LONG))
+    root = "abaabbababbbaabaabab"
+    assert (root + root).find(root, 1) == len(root)
+    k = (LONG - 1) // 3
+    return {
+        "random": (text, "".join(rng.choices("ab", k=LONG))),
+        "late": ("aab" * k + "a", "aab" * k + "b"),
+        "prefix": (text[:LONG // 2], text),
+        "powers": (root * 800, root * 600),
+    }
+
+
+class TestLongInputs:
+    """16,000-letter inputs against outputs built from the definitions."""
+
+    @pytest.mark.parametrize("six", [False, True], ids=["plain", "six"])
+    @pytest.mark.parametrize("name", sorted(long_compare_pairs()))
+    def test_compare(self, name, six):
+        u, v = long_compare_pairs()[name]
+        code, out, _ = run_cli(["compare", u, v] + ["--six"] * six)
+        assert code == 0
+        assert out == expected_compare(u, v, six)
+
+    def test_factorize(self):
+        factors = lyndon_concatenation(random.Random(11), LONG)
+        code, out, _ = run_cli(["factorize", "".join(factors)])
+        assert code == 0
+        assert out == f"({')('.join(factors)})\nfirst: {factors[0]}\nlast: {factors[-1]}\n"
+
+    @pytest.mark.parametrize(
+        "factors",
+        [["b"] + ["a"] * (LONG - 1), ["ab"] * (LONG // 2)],
+        ids=["b-a^15999", "(ab)^8000"],
+    )
+    def test_factorize_families(self, factors):
+        code, out, _ = run_cli(["factorize", "".join(factors)])
+        assert code == 0
+        assert out == f"({')('.join(factors)})\nfirst: {factors[0]}\nlast: {factors[-1]}\n"
+
+    def test_non_latin_1_alphabet(self):
+        factors = [f.translate(GREEK) for f in lyndon_concatenation(random.Random(12), LONG)]
+        code, out, _ = run_cli(["factorize", "".join(factors), "--alphabet", "αβ"])
+        assert code == 0
+        assert out == f"({')('.join(factors)})\nfirst: {factors[0]}\nlast: {factors[-1]}\n"
+        u, v = (x.translate(GREEK) for x in long_compare_pairs()["random"])
+        code, out, _ = run_cli(["compare", u, v, "--six", "--alphabet", "αβ"])
+        assert code == 0
+        assert out == expected_compare(u, v, True)
 
 
 # Calls that exercise every option, both with and without each optional

@@ -44,6 +44,7 @@ from lyndonkit import (
     omega_cmp_naive,
     omega_mismatch_position,
     prec_cmp,
+    primitive_root,
     prefix_standard_permutation,
     render_dot,
     right_lyndon_tree,
@@ -332,3 +333,59 @@ class TestLongWords:
             with pytest.raises(errors.UnknownSymbol) as info:
                 make_word(source, BINARY)
             assert (info.value.position, info.value.character) == (LONG, "x")
+
+
+def random_letters(rng: random.Random, n: int) -> tuple[int, ...]:
+    return tuple(rng.randrange(2) for _ in range(n))
+
+
+def root_length_brute(ls: tuple[int, ...]) -> int:
+    """The shortest d dividing |ls| under which every letter repeats."""
+    n = len(ls)
+    return next(d for d in range(1, n + 1) if n % d == 0 and all(ls[i] == ls[i % d] for i in range(n)))
+
+
+class TestLongComparisons:
+    """omega_cmp on 100 to 2,000 letters, where it compares uv with vu without building them."""
+
+    def check(self, a, b):
+        u, v = Word(BINARY, a), Word(BINARY, b)
+        for x, y in ((u, v), (v, u)):
+            assert omega_cmp(x, y) == omega_cmp_naive(x, y)
+
+    @given(st.integers(100, 2000), st.booleans(), st.randoms(use_true_random=False))
+    def test_equal_length_mismatch(self, n, late, rng):
+        a = random_letters(rng, n)
+        i = rng.randrange(n - 10, n) if late else rng.randrange(10)
+        self.check(a, a[:i] + (1 - a[i],) + a[i + 1:])
+
+    @given(
+        st.integers(100, 2000), st.integers(1, 2000), st.booleans(), st.randoms(use_true_random=False)
+    )
+    def test_prefix(self, n, extra, periodic, rng):
+        # A periodic tail continues the extension of u, so uv and vu agree
+        # on their first |v| letters and differ, if at all, in the last |u|.
+        a = random_letters(rng, n)
+        tail = (a * (extra // n + 1))[:extra] if periodic else random_letters(rng, extra)
+        self.check(a, a + tail)
+
+    @given(st.data())
+    def test_powers_of_a_non_primitive_word(self, data):
+        rng = data.draw(st.randoms(use_true_random=False))
+        x = random_letters(rng, data.draw(st.integers(1, 20))) * data.draw(st.integers(2, 5))
+        i, j = (data.draw(st.integers(-(-100 // len(x)), 2000 // len(x))) for _ in range(2))
+        u, v = Word(BINARY, x * i), Word(BINARY, x * j)
+        got = omega_cmp(u, v)
+        assert got == omega_cmp_naive(u, v)
+        assert got.common_root.letters == x[:root_length_brute(x)]
+
+    @given(st.data())
+    def test_primitive_root(self, data):
+        rng = data.draw(st.randoms(use_true_random=False))
+        y = random_letters(rng, data.draw(st.integers(1, 50)))
+        ls = y * data.draw(st.integers(-(-100 // len(y)), 2000 // len(y)))
+        if data.draw(st.booleans()):
+            k = rng.randrange(len(ls))
+            ls = ls[:k] + (1 - ls[k],) + ls[k + 1:]
+        d = root_length_brute(ls)
+        assert primitive_root(Word(BINARY, ls)) == (Word(BINARY, ls[:d]), len(ls) // d)

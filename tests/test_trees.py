@@ -73,6 +73,22 @@ class TestMagmaTree:
     def test_leaf_wants_single_letter(self):
         with pytest.raises(ValueError):
             Leaf(w("ab"))
+
+    def test_equality_follows_alphabet_and_letters(self):
+        # An equal alphabet built apart gives equal trees and hashes; one
+        # with other symbols does not, even where the ranks agree.
+        twin, wider = OrderedAlphabet("abc"), OrderedAlphabet("abd")
+        for build in (left_lyndon_tree, right_lyndon_tree, left_cartesian_tree):
+            tree = build(t(EXAMPLE_WORD))
+            same = build(make_word(EXAMPLE_WORD, twin))
+            assert tree == same and hash(tree) == hash(same)
+            assert tree != build(make_word(EXAMPLE_WORD.replace("c", "d"), wider))
+        mixed = Node(leaf("a"), leaf("b", TERNARY))
+        assert mixed == Node(leaf("a", OrderedAlphabet("ab")), leaf("b", twin))
+        assert hash(mixed) == hash(Node(leaf("a", OrderedAlphabet("ab")), leaf("b", twin)))
+        assert mixed != Node(leaf("a"), leaf("b"))
+        assert mixed != Node(leaf("a", TERNARY), leaf("b", TERNARY))
+        assert mixed != Node(leaf("b", TERNARY), leaf("a"))
         with pytest.raises(ValueError):
             Leaf(Word(BINARY))
 

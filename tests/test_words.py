@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,91 @@ class TestPrimitiveRoot:
         root, e = primitive_root(word)
         assert Word(BINARY, root.letters * e) == word
         assert primitive_root(root) == (root, 1)
+
+
+def _shuffled(symbols: list[str]) -> OrderedAlphabet:
+    # A fixed shuffle, so that no rank equals its symbol's code point.
+    random.Random(0).shuffle(symbols)
+    return OrderedAlphabet(symbols)
+
+
+_LATIN_1 = [chr(c) for c in range(256) if chr(c).isprintable()]
+_CJK = [chr(c) for c in range(0x4E00, 0x4E00 + 300)]
+
+# Each alphabet takes its own route through make_word and Word.text: `ba`
+# and the printable Latin-1 symbols use both tables, the latter with most
+# control characters below chr(n); `aωb` has a symbol outside Latin-1; the
+# last two sit at and past the 256-symbol limit of the tables.
+CODEC_ALPHABETS = {
+    "ba": OrderedAlphabet("ba"),
+    "latin-1": _shuffled(list(_LATIN_1)),
+    "greek": OrderedAlphabet("aωb"),
+    "256": _shuffled(_LATIN_1 + _CJK[: 256 - len(_LATIN_1)]),
+    "300": _shuffled(_LATIN_1 + _CJK[: 300 - len(_LATIN_1)]),
+}
+# Characters outside most of those alphabets: control characters that a
+# bare str.translate would leave as ranks 0 and 1, and non-Latin-1 ones.
+STRAYS = ["\x00", "\x01", "\x7f", "\xad", "z", "ω", "\u0100", "\u4e00", "\U0001f600"]
+
+
+def make_word_reference(chars, alphabet: OrderedAlphabet):
+    """The ranks of chars, one symbol at a time, or the first unknown symbol."""
+    ranks = []
+    for position, ch in enumerate(chars, start=1):
+        if ch not in alphabet.symbols:
+            return ("unknown", position, ch)
+        ranks.append(alphabet.symbols.index(ch))
+    return ("word", tuple(ranks))
+
+
+def make_word_outcome(chars, alphabet: OrderedAlphabet):
+    try:
+        word = make_word(chars, alphabet)
+    except errors.UnknownSymbol as err:
+        return ("unknown", err.position, err.character)
+    assert word.alphabet is alphabet
+    return ("word", word.letters)
+
+
+@st.composite
+def codec_texts(draw, strays: int):
+    """An alphabet, and a string of its symbols with `strays` characters from STRAYS."""
+    alphabet = CODEC_ALPHABETS[draw(st.sampled_from(sorted(CODEC_ALPHABETS)))]
+    chars = draw(st.lists(st.sampled_from(alphabet.symbols), max_size=80))
+    for _ in range(strays):
+        chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(STRAYS)))
+    return alphabet, "".join(chars)
+
+
+class TestTableCodecs:
+    """make_word and Word.text against per-letter references."""
+
+    @pytest.mark.parametrize("strays", [0, 1, 3])
+    @given(data=st.data())
+    def test_make_word(self, strays, data):
+        alphabet, text = data.draw(codec_texts(strays))
+        assert make_word_outcome(text, alphabet) == make_word_reference(text, alphabet)
+
+    @pytest.mark.parametrize("name", sorted(CODEC_ALPHABETS))
+    @pytest.mark.parametrize("stray", STRAYS)
+    def test_every_stray(self, name, stray):
+        alphabet = CODEC_ALPHABETS[name]
+        text = alphabet.symbols[0] * 3 + stray + alphabet.symbols[-1]
+        assert make_word_outcome(text, alphabet) == make_word_reference(text, alphabet)
+
+    @given(codec_texts(strays=1), st.sampled_from([list, tuple, iter]))
+    def test_make_word_on_other_iterables(self, case, wrap):
+        alphabet, text = case
+        assert make_word_outcome(wrap(text), alphabet) == make_word_reference(text, alphabet)
+
+    @given(st.data())
+    def test_text(self, data):
+        alphabet = CODEC_ALPHABETS[data.draw(st.sampled_from(sorted(CODEC_ALPHABETS)))]
+        ranks = data.draw(st.lists(st.integers(0, len(alphabet) - 1), max_size=80))
+        expect = "".join(alphabet.symbols[r] for r in ranks)
+        word = Word(alphabet, ranks)
+        assert word.text() == expect
+        assert make_word(expect, alphabet) == word
 
 
 def test_nontrivial_splits_cover_word():
