@@ -68,11 +68,6 @@ class SixConditions(NamedTuple):
 _LESS_AT_FIRST = OmegaComparison(Ordering.LESS, 1, None)
 _GREATER_AT_FIRST = OmegaComparison(Ordering.GREATER, 1, None)
 
-# Shortest pair of words that omega_cmp compares in place, without building
-# uv and vu.  Shorter pairs, such as the sweep's, take fewer interpreter
-# steps to concatenate and scan once.
-_IN_PLACE_MIN_LEN = 64
-
 
 def _first_difference(a: tuple[int, ...], b: tuple[int, ...], n: int) -> int | None:
     """Index of the first letter where a[:n] and b[:n] differ, None if they agree.
@@ -102,32 +97,25 @@ def _first_difference(a: tuple[int, ...], b: tuple[int, ...], n: int) -> int | N
     return lo if lo < n else None
 
 
-def _concatenations_differ(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """First index i where a + b and b + a differ, with their letters there.
+def _concatenation_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
+    """First index where a + b and b + a differ, None when a + b == b + a.
 
-    Returns (i, (a + b)[i], (b + a)[i]), or None when a + b == b + a.
-    Neither concatenation is built: with p = |a| <= q = |b|, the two read
-    a against b[:p], then b[:q - p] against b[p:], then b[q - p:] against
-    a, so the scans copy at most q letters besides their windows.
+    Neither concatenation is built, and the index is the same with a and b
+    swapped.  With p = |a| <= q = |b|, the two read a against b[:p], then
+    b[:q - p] against b[p:], then b[q - p:] against a, so the scans copy at
+    most q letters besides their windows.
     """
     p, q = len(a), len(b)
     if p > q:
-        found = _concatenations_differ(b, a)
-        return None if found is None else (found[0], found[2], found[1])
+        a, b, p, q = b, a, q, p
     i = _first_difference(a, b, p)
+    if i is not None or p == q:
+        return i
+    i = _first_difference(b, b[p:], q - p)
     if i is not None:
-        return i, a[i], b[i]
-    if p == q:
-        return None
-    rest = b[p:]
-    i = _first_difference(b, rest, q - p)
-    if i is not None:
-        return p + i, b[i], rest[i]
-    tail = b[q - p:]
-    i = _first_difference(tail, a, p)
-    if i is not None:
-        return q + i, tail[i], a[i]
-    return None
+        return p + i
+    i = _first_difference(b[q - p:], a, p)
+    return None if i is None else q + i
 
 
 def omega_cmp(u: Word, v: Word) -> OmegaComparison:
@@ -147,18 +135,14 @@ def omega_cmp(u: Word, v: Word) -> OmegaComparison:
         ensure_nonempty(v)
     if a[0] != b[0]:
         return _LESS_AT_FIRST if a[0] < b[0] else _GREATER_AT_FIRST
-    if len(a) < _IN_PLACE_MIN_LEN or len(b) < _IN_PLACE_MIN_LEN:
-        uv, vu = a + b, b + a
-        i = _first_difference(uv, vu, len(uv))
-        if i is not None:
-            outcome = Ordering.LESS if uv[i] < vu[i] else Ordering.GREATER
-            return OmegaComparison(outcome, i + 1, None)
-    else:
-        found = _concatenations_differ(a, b)
-        if found is not None:
-            i, x, y = found
-            outcome = Ordering.LESS if x < y else Ordering.GREATER
-            return OmegaComparison(outcome, i + 1, None)
+    i = _concatenation_difference(a, b)
+    if i is not None:
+        # The letters of uv and vu at i, read from u and v.
+        p, q = len(a), len(b)
+        x = a[i] if i < p else b[i - p]
+        y = b[i] if i < q else a[i - q]
+        outcome = Ordering.LESS if x < y else Ordering.GREATER
+        return OmegaComparison(outcome, i + 1, None)
     # uv = vu: both are powers of their common prefix of gcd length.
     root, _ = primitive_root(Word._make(u.alphabet, a[:gcd(len(a), len(b))]))
     return OmegaComparison(Ordering.EQUAL, None, root)

@@ -309,6 +309,12 @@ def internal_addresses(tree: MagmaTree) -> Iterator[str]:
             stack.append((tree.left, address + "L"))
 
 
+def _symbol(leaf: Leaf) -> str:
+    """The symbol of a leaf's one letter."""
+    letter = leaf.letter
+    return letter.alphabet.symbols[letter.letters[0]]
+
+
 def _write_tree(
     tree: MagmaTree, opening: str, separator: str, closing: str, leaf: Callable[[str], str]
 ) -> str:
@@ -325,8 +331,7 @@ def _write_tree(
             out.append(opening)
             stack += (closing, item.right, separator, item.left)
         else:
-            letter = item.letter
-            out.append(leaf(letter.alphabet.symbols[letter.letters[0]]))
+            out.append(leaf(_symbol(item)))
     return "".join(out)
 
 
@@ -389,7 +394,7 @@ def render_dot(tree: MagmaTree) -> str:
         spans.append((len(letters), len(letters) + 1))
         right.append(-1)
         if isinstance(node, Leaf):
-            letters.append(node.letter.text())
+            letters.append(_symbol(node))
         else:
             stack.append((node.right, me))
             stack.append((node.left, -1))

@@ -47,12 +47,12 @@ class OrderedAlphabet:
     The declared order is the only order the package ever uses.  Reversing
     the symbol list yields the opposite order; no other machinery is needed.
 
-    An alphabet of at most 256 symbols also keeps the `str.translate` tables
-    that let `make_word` and `Word.text` convert a whole word at C speed,
-    one rank per Latin-1 byte.
+    A Latin-1 alphabet, which has at most 256 symbols, also keeps the
+    `str.translate` table that lets `make_word` encode a whole word at C
+    speed, one rank per Latin-1 byte.
     """
 
-    __slots__ = ("symbols", "rank", "_encoding", "_ranks", "_decoding")
+    __slots__ = ("symbols", "rank", "_encoding", "_ranks")
 
     def __init__(self, symbols: Iterable[str]) -> None:
         syms = tuple(symbols)
@@ -63,16 +63,14 @@ class OrderedAlphabet:
         self.symbols = syms
         self.rank = {s: i for i, s in enumerate(syms)}
         n = len(syms)
-        self._encoding = self._ranks = self._decoding = None
-        if n <= 256:
-            self._decoding = dict(zip(range(n), map(ord, syms)))
-            if max(syms, default="") <= "\xff":
-                # Symbol to rank, and every other character below chr(n) to
-                # chr(256), which Latin-1 cannot encode, so no stray
-                # character passes for a rank.
-                self._encoding = dict.fromkeys(range(n), 256)
-                self._encoding.update(zip(map(ord, syms), range(n)))
-                self._ranks = bytes(range(n))
+        self._encoding = self._ranks = None
+        if max(syms, default="") <= "\xff":
+            # Symbol to rank, and every other character below chr(n) to
+            # chr(256), which Latin-1 cannot encode, so no stray character
+            # passes for a rank.
+            self._encoding = dict.fromkeys(range(n), 256)
+            self._encoding.update(zip(map(ord, syms), range(n)))
+            self._ranks = bytes(range(n))
 
     def reversed(self) -> "OrderedAlphabet":
         """The same symbols under the opposite order."""
@@ -123,11 +121,8 @@ class Word:
         return word
 
     def text(self) -> str:
-        decoding = self.alphabet._decoding
-        if decoding is None:
-            symbols = self.alphabet.symbols
-            return "".join([symbols[i] for i in self.letters])
-        return bytearray(self.letters).decode("latin-1").translate(decoding)
+        symbols = self.alphabet.symbols
+        return "".join([symbols[i] for i in self.letters])
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -213,8 +208,8 @@ def _join(words: Sequence[Word]) -> Word:
 def make_word(text: Iterable[str], alphabet: OrderedAlphabet) -> Word:
     """Encode a character sequence as a word; error positions are 1-based.
 
-    A str over a Latin-1 alphabet of at most 256 symbols is encoded with
-    one table lookup per letter in C: each symbol becomes the byte of its
+    A str over an alphabet of Latin-1 symbols is encoded with one table
+    lookup per letter in C: each symbol becomes the byte of its
     rank, and any other character either fails the Latin-1 encoding or
     leaves a byte that is no rank.  Everything else, and every input with
     an unknown character, goes one letter at a time.

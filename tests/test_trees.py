@@ -73,6 +73,8 @@ class TestMagmaTree:
     def test_leaf_wants_single_letter(self):
         with pytest.raises(ValueError):
             Leaf(w("ab"))
+        with pytest.raises(ValueError):
+            Leaf(Word(BINARY))
 
     def test_equality_follows_alphabet_and_letters(self):
         # An equal alphabet built apart gives equal trees and hashes; one
@@ -89,8 +91,6 @@ class TestMagmaTree:
         assert mixed != Node(leaf("a"), leaf("b"))
         assert mixed != Node(leaf("a", TERNARY), leaf("b", TERNARY))
         assert mixed != Node(leaf("b", TERNARY), leaf("a"))
-        with pytest.raises(ValueError):
-            Leaf(Word(BINARY))
 
     def test_foliage(self):
         assert foliage(example_tree()) == t(EXAMPLE_WORD)
