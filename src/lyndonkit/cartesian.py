@@ -57,12 +57,15 @@ class PrefixStandard:
     inverse: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # A map of 1..n into itself with a left inverse is a bijection, so
+        # one pass checks both tuples.  The range check keeps rank 0 from
+        # reading inverse[-1].
         n = len(self.sigma)
-        if sorted(self.sigma) != list(range(1, n + 1)) or len(self.inverse) != n:
-            raise ValueError("sigma must be a permutation of 1..n")
+        if len(self.inverse) != n:
+            raise ValueError("sigma and inverse must have the same length")
         for length, rank in enumerate(self.sigma, start=1):
-            if self.inverse[rank - 1] != length:
-                raise ValueError("inverse does not invert sigma")
+            if not 0 < rank <= n or self.inverse[rank - 1] != length:
+                raise ValueError("sigma must be a permutation of 1..n with the given inverse")
 
     def __len__(self) -> int:
         return len(self.sigma)
@@ -137,12 +140,13 @@ class DecreasingTree:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # Pre-order labels with a mark for each empty slot spell out the
-        # shape and the labels, and no such walk is a prefix of another.
-        return _preorder_labels(self) == _preorder_labels(other)
+        # Every label is above all labels below it, so each subtree's root
+        # is its unique maximum and the in-order labels fix the tree, even
+        # when one label appears in different subtrees.
+        return in_order_labels(self) == in_order_labels(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(_preorder_labels(self)))
+        return hash(in_order_labels(self))
 
     def __repr__(self) -> str:
         out: list[str] = []
@@ -157,21 +161,6 @@ class DecreasingTree:
                 out.append(f"{type(item).__qualname__}(label={item.label!r}, left=")
                 stack += (")", item.right, ", right=", item.left)
         return "".join(out)
-
-
-def _preorder_labels(tree: DecreasingTree) -> list[int | None]:
-    """Every label in pre-order, with None for each empty slot."""
-    labels: list[int | None] = []
-    stack: list[DecreasingTree | None] = [tree]
-    while stack:
-        tree = stack.pop()
-        if tree is None:
-            labels.append(None)
-        else:
-            labels.append(tree.label)
-            stack.append(tree.right)
-            stack.append(tree.left)
-    return labels
 
 
 def decreasing_tree(alpha: Sequence[int]) -> DecreasingTree:

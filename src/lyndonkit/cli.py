@@ -8,6 +8,7 @@ text (default), structured (JSON), or dot (trees only).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -24,14 +25,13 @@ from .lyndon import (
 from .omega import omega_cmp, six_conditions
 from .oracle import CHECK_NAMES, verify_word
 from .trees import (
-    MagmaTree,
-    _write_tree,
+    _tree_structured,
     format_tree,
     left_lyndon_tree,
     render_dot,
     right_lyndon_tree,
 )
-from .words import Ordering, OrderedAlphabet, Word, iter_all_words, make_word
+from .words import Ordering, OrderedAlphabet, Word, make_word
 
 __all__ = ["main"]
 
@@ -43,12 +43,6 @@ _SIX_LABELS = (
     "u^ω < (uv)^ω",
     "(vu)^ω < v^ω",
 )
-
-
-def _tree_structured(tree: MagmaTree, alphabet: OrderedAlphabet) -> str:
-    """The JSON text json.dumps gives for nested {"l": ..., "r": ...} and {"leaf": ...}."""
-    leaves = {s: '{"leaf": ' + json.dumps(s) + "}" for s in alphabet.symbols}
-    return _write_tree(tree, '{"l": ', ', "r": ', "}", leaves.__getitem__)
 
 
 def _alphabet_for(symbols: str | None, *texts: str) -> OrderedAlphabet:
@@ -194,30 +188,23 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _verify_one(symbols: str, text: str):
-    """Worker: plain strings in, plain tuples out, so it crosses processes."""
-    alphabet = OrderedAlphabet(symbols)
-    word = make_word(text, alphabet)
-    report = verify_word(word)
-    return text, is_lyndon(word), tuple((c.name, c.passed, c.detail) for c in report.checks)
+def _verify_one(symbols: str, n: int, head: tuple[int, ...]):
+    """Worker: check every word of length n that starts with the ranks in head.
 
-
-def _tally(results, max_len: int) -> tuple[list[int], dict[str, int]] | None:
-    """Lyndon words per length and passes per check, or None after the first failure.
-
-    Each result is counted as it arrives, so no report outlives its word.
+    Returns the Lyndon count, the passes per check, and the first failure's
+    FAIL line or None, so only counts and one failure cross processes.
     """
-    lyndon_per_length = [0] * max_len
-    passes = {name: 0 for name in CHECK_NAMES}
-    for text, lyndon, checks in results:
-        if lyndon:
-            lyndon_per_length[len(text) - 1] += 1
-        for name, ok, detail in checks:
-            if not ok:
-                print(f"FAIL {name} on {text}: {detail}", file=sys.stderr)
-                return None
-            passes[name] += 1
-    return lyndon_per_length, passes
+    alphabet = OrderedAlphabet(symbols)
+    lyndon = 0
+    passes = dict.fromkeys(CHECK_NAMES, 0)
+    for tail in itertools.product(range(len(symbols)), repeat=n - len(head)):
+        word = Word._make(alphabet, head + tail)
+        lyndon += is_lyndon(word)
+        for check in verify_word(word).checks:
+            if not check.passed:
+                return lyndon, passes, f"FAIL {check.name} on {word.text()}: {check.detail}"
+            passes[check.name] += 1
+    return lyndon, passes, None
 
 
 def cmd_verify(args) -> int:
@@ -235,28 +222,31 @@ def cmd_verify(args) -> int:
         print("--alphabet must have at least one symbol", file=sys.stderr)
         return 2
     jobs = min(args.jobs, os.cpu_count() or 1)
-    alphabet = OrderedAlphabet(symbols)
-    words = [w.text() for w in iter_all_words(alphabet, args.max_len)]
-    if jobs > 1:
-        executor = ProcessPoolExecutor(max_workers=jobs)
-        with executor:
-            tally = _tally(
-                executor.map(
-                    _verify_one,
-                    [symbols] * len(words),
-                    words,
-                    chunksize=max(1, len(words) // (4 * jobs)),
-                ),
-                args.max_len,
-            )
-    else:
-        tally = _tally(map(_verify_one, [symbols] * len(words), words), args.max_len)
-    if tally is None:
-        return 1
-    lyndon_per_length, passes = tally
+    k = len(OrderedAlphabet(symbols).symbols)
+    # The words of each length split into shards by their first `width`
+    # letters, about four shards per worker.  In this order the shards run
+    # through the words in shortlex order, so the first failure reported is
+    # that of the first failing word.
+    lengths, heads = [], []
+    for n in range(1, args.max_len + 1):
+        width = next((h for h in range(n) if k**h >= 4 * jobs), n)
+        for head in itertools.product(range(k), repeat=width):
+            lengths.append(n)
+            heads.append(head)
+    lyndon_per_length = [0] * args.max_len
+    passes = dict.fromkeys(CHECK_NAMES, 0)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        shards = (pool.map if pool else map)(_verify_one, itertools.repeat(symbols), lengths, heads)
+        for n, (lyndon, counts, failure) in zip(lengths, shards):
+            if failure is not None:
+                print(failure, file=sys.stderr)
+                return 1
+            lyndon_per_length[n - 1] += lyndon
+            for name, count in counts.items():
+                passes[name] += count
 
     print(f"alphabet: {symbols}")
-    print(f"words checked: {len(words)}")
+    print(f"words checked: {sum(k**n for n in range(1, args.max_len + 1))}")
     print("lyndon words per length: " + ",".join(str(c) for c in lyndon_per_length))
     for name in CHECK_NAMES:
         print(f"{name}: {passes[name]} pass")

@@ -271,6 +271,10 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+# Each check returns None when its claim holds on w, and otherwise a detail
+# naming the values that disagreed.
+
+
 def _check_omega_agreement(w: Word):
     n = len(w.letters)
     suffixes = [w[j:] for j in range(n)]
@@ -279,15 +283,13 @@ def _check_omega_agreement(w: Word):
             fast = omega_cmp(p, s)
             slow = omega_cmp_naive(p, s)
             if fast != slow:
-                return False, f"prefix {p} vs suffix {s}: {fast} != {slow}"
-    return True, ""
+                return f"prefix {p} vs suffix {s}: {fast} != {slow}"
 
 
 def _check_lyndon_definitions(w: Word):
     flags = (is_lyndon(w), is_lyndon_via_suffixes(w), is_lyndon_via_rotations(w))
     if len(set(flags)) != 1:
-        return False, f"split conditions disagree: {flags}"
-    return True, ""
+        return f"split conditions disagree: {flags}"
 
 
 def _check_suffix_conditions(w: Word):
@@ -295,16 +297,14 @@ def _check_suffix_conditions(w: Word):
     whole = is_lyndon_suffix_omega(w)
     parts = all(omega_cmp(u, v).outcome is Ordering.LESS for u, v in nontrivial_splits(w))
     if whole != parts:
-        return False, f"suffix extension forms disagree: w^ω < v^ω {whole}, u^ω < v^ω {parts}"
+        return f"suffix extension forms disagree: w^ω < v^ω {whole}, u^ω < v^ω {parts}"
     if whole != is_lyndon(w):
-        return False, "suffix extension test disagrees with the split test"
-    return True, ""
+        return "suffix extension test disagrees with the split test"
 
 
 def _check_prefix_condition(w: Word):
     if is_lyndon_prefix_omega(w) != is_lyndon(w):
-        return False, "prefix extension test disagrees with the split test"
-    return True, ""
+        return "prefix extension test disagrees with the split test"
 
 
 def _check_six_equivalence(w: Word):
@@ -312,34 +312,31 @@ def _check_six_equivalence(w: Word):
         six = six_conditions(u, v)
         if omega_cmp(u, v).outcome is Ordering.EQUAL:
             if any(six):
-                return False, f"split {u}|{v}: equal extensions but {six}"
+                return f"split {u}|{v}: equal extensions but {six}"
         elif not six.all_equal():
-            return False, f"split {u}|{v}: {six}"
-    return True, ""
+            return f"split {u}|{v}: {six}"
 
 
 def _check_bergman(w: Word):
     for u, v in nontrivial_splits(w):
         if omega_cmp(u, v).outcome is Ordering.LESS and not bergman_chain(u, v):
-            return False, f"split {u}|{v}: chain violated"
-    return True, ""
+            return f"split {u}|{v}: chain violated"
 
 
 def _check_factorization(w: Word):
     fact = lyndon_factorization(w)
     if fact.word != w:
-        return False, "factors do not concatenate back to the word"
+        return "factors do not concatenate back to the word"
     if not all(is_lyndon(f) for f in fact.factors):
-        return False, "non-Lyndon factor"
+        return "non-Lyndon factor"
     for a, b in zip(fact.factors, fact.factors[1:]):
         if lex_cmp(a, b) is Ordering.LESS:
-            return False, f"factors increase: {a} then {b}"
+            return f"factors increase: {a} then {b}"
         if omega_cmp(a, b).outcome is Ordering.LESS:
-            return False, f"extensions increase: {a} then {b}"
+            return f"extensions increase: {a} then {b}"
     naive = lyndon_factorization_naive(w)
     if fact.factors != naive.factors:
-        return False, f"{fact.factors} != naive {naive.factors}"
-    return True, ""
+        return f"{fact.factors} != naive {naive.factors}"
 
 
 def _check_first_factor(w: Word):
@@ -347,11 +344,10 @@ def _check_first_factor(w: Word):
     against_whole, against_rest = first_lyndon_factor_naive(w)
     head = lyndon_factorization(w).factors[0]
     if not fast == against_whole == against_rest == head:
-        return False, (
+        return (
             f"first factor {fast}, prefix scans {against_whole} and {against_rest}, "
             f"factorization head {head}"
         )
-    return True, ""
 
 
 def _check_last_factor(w: Word):
@@ -359,8 +355,7 @@ def _check_last_factor(w: Word):
     scanned = last_lyndon_factor_naive(w)
     tail = lyndon_factorization(w).factors[-1]
     if not fast == scanned == tail:
-        return False, f"last factor {fast}, suffix scan {scanned}, final factor {tail}"
-    return True, ""
+        return f"last factor {fast}, suffix scan {scanned}, final factor {tail}"
 
 
 def _check_first_dominates_rest(w: Word):
@@ -368,30 +363,27 @@ def _check_first_dominates_rest(w: Word):
     if len(factors) >= 2:
         rest = _join(factors[1:])
         if omega_cmp(factors[0], rest).outcome is Ordering.LESS:
-            return False, f"head {factors[0]} sits below the rest {rest}"
-    return True, ""
+            return f"head {factors[0]} sits below the rest {rest}"
 
 
 def _check_left_factorization(w: Word):
     u, v = left_standard_factorization(w)
     if not (is_lyndon(u) and is_lyndon(v)):
-        return False, f"parts {u}|{v} are not both Lyndon"
+        return f"parts {u}|{v} are not both Lyndon"
     if lex_cmp(u, v) is not Ordering.LESS:
-        return False, f"{u} is not below {v}"
+        return f"{u} is not below {v}"
     if len(v.letters) >= 2:
         v1, _ = left_standard_factorization(v)
         if lex_cmp(v1, u) is Ordering.GREATER:
-            return False, f"head {v1} of the right part exceeds {u}"
+            return f"head {v1} of the right part exceeds {u}"
         if v1.letters != u.letters[:len(v1.letters)]:
-            return False, f"head {v1} of the right part is not a prefix of {u}"
-    return True, ""
+            return f"head {v1} of the right part is not a prefix of {u}"
 
 
 def _check_right_factorization(w: Word):
     u, v = right_standard_factorization(w)
     if not (is_lyndon(u) and is_lyndon(v)):
-        return False, f"parts {u}|{v} are not both Lyndon"
-    return True, ""
+        return f"parts {u}|{v} are not both Lyndon"
 
 
 def _check_left_subtrees_chain(w: Word):
@@ -399,11 +391,10 @@ def _check_left_subtrees_chain(w: Word):
     for addr in internal_addresses(t):
         ells = [foliage(s) for s in left_subtrees_sequence(t, addr)]
         if not all(is_lyndon(e) for e in ells):
-            return False, f"node {addr or 'root'}: non-Lyndon hanging subtree"
+            return f"node {addr or 'root'}: non-Lyndon hanging subtree"
         for a, b in zip(ells, ells[1:]):
             if b.letters != a.letters[:len(b.letters)]:
-                return False, f"node {addr or 'root'}: {b} is not a prefix of {a}"
-    return True, ""
+                return f"node {addr or 'root'}: {b} is not a prefix of {a}"
 
 
 def _check_left_foliage_concatenation(w: Word):
@@ -411,8 +402,7 @@ def _check_left_foliage_concatenation(w: Word):
     for addr in internal_addresses(t):
         ells = [foliage(s) for s in left_subtrees_sequence(t, addr)]
         if left_foliage(t, addr) != _join(ells):
-            return False, f"node {addr or 'root'}: foliages do not concatenate"
-    return True, ""
+            return f"node {addr or 'root'}: foliages do not concatenate"
 
 
 def _check_left_subtrees_order(w: Word):
@@ -425,12 +415,11 @@ def _check_left_subtrees_order(w: Word):
             head, _ = left_standard_factorization(last)
             clipped = _join(ells[:-1] + [head])
             if omega_cmp(clipped, whole).outcome is not Ordering.LESS:
-                return False, f"node {addr or 'root'}: clipping the tail did not shrink it"
+                return f"node {addr or 'root'}: clipping the tail did not shrink it"
         if len(ells) >= 2:
             shorter = _join(ells[:-1])
             if omega_cmp(whole, shorter).outcome is Ordering.GREATER:
-                return False, f"node {addr or 'root'}: dropping the tail shrank it"
-    return True, ""
+                return f"node {addr or 'root'}: dropping the tail shrank it"
 
 
 def _check_left_foliage_decreasing(w: Word):
@@ -443,27 +432,25 @@ def _check_left_foliage_decreasing(w: Word):
                 down = left_foliage(t, addr + step)
                 here = left_foliage(t, addr)
                 if prec_cmp(down, here) is not Ordering.LESS:
-                    return False, f"label at {addr + step} is not below {addr or 'root'}"
-    return True, ""
+                    return f"label at {addr + step} is not below {addr or 'root'}"
 
 
 def _check_trees_coincide(w: Word):
     t = left_lyndon_tree(w)
-    same = (
+    if not (
         t
         == left_cartesian_tree(w)
         == left_cartesian_tree_via_prefixes(w)
         == left_lyndon_tree_naive(w)
-    )
-    return same, "" if same else "tree constructions disagree"
+    ):
+        return "tree constructions disagree"
 
 
 def _check_tree_foliage(w: Word):
     if foliage(left_lyndon_tree(w)) != w:
-        return False, "left tree foliage broke"
+        return "left tree foliage broke"
     if foliage(right_lyndon_tree(w)) != w:
-        return False, "right tree foliage broke"
-    return True, ""
+        return "right tree foliage broke"
 
 
 def _always(w: Word) -> bool:
@@ -508,6 +495,6 @@ def verify_word(w: Word) -> VerificationReport:
     results = []
     for name, check, applies in _CHECKS:
         if applies(w):
-            ok, detail = check(w)
-            results.append(CheckResult(name, ok, "" if ok else detail))
+            detail = check(w)
+            results.append(CheckResult(name, detail is None, detail or ""))
     return VerificationReport(w, tuple(results))

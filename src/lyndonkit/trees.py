@@ -6,11 +6,13 @@ left (or right) standard factorization of a Lyndon word grows such a tree.
 
 Internal nodes are addressed by strings over 'L' and 'R' describing the
 path from the root.  A tree also has a text form, (l,r) with letters as
-leaves, and a DOT form.
+leaves, a JSON form of nested {"l": ..., "r": ...} and {"leaf": ...}
+objects, and a DOT form.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
@@ -338,6 +340,12 @@ def _write_tree(
 def format_tree(tree: MagmaTree) -> str:
     """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
     return _write_tree(tree, "(", ",", ")", str)
+
+
+def _tree_structured(tree: MagmaTree, alphabet: OrderedAlphabet) -> str:
+    """The JSON text json.dumps gives for nested {"l": ..., "r": ...} and {"leaf": ...}."""
+    leaves = {s: '{"leaf": ' + json.dumps(s) + "}" for s in alphabet.symbols}
+    return _write_tree(tree, '{"l": ', ', "r": ', "}", leaves.__getitem__)
 
 
 def parse_tree(text: str, alphabet: OrderedAlphabet) -> MagmaTree:

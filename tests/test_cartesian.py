@@ -101,6 +101,12 @@ class TestPrefixStandard:
             PrefixStandard((1, 3), (1, 2))
         with pytest.raises(ValueError):
             PrefixStandard((2, 1), (1, 2))
+        with pytest.raises(ValueError):
+            PrefixStandard((1, 1), (1, 2))
+        with pytest.raises(ValueError):
+            PrefixStandard((0, 2), (2, 1))
+        with pytest.raises(ValueError):
+            PrefixStandard((0, 1), (2, 1))
 
 
 class TestDecreasingTree:
@@ -159,6 +165,31 @@ class TestDecreasingTree:
             assert hash(tree) == hash(decreasing_tree(alpha))
         assert DecreasingTree(1) != Leaf(make_word("a", BINARY))
         assert DecreasingTree(2, DecreasingTree(1)) != DecreasingTree(2, None, DecreasingTree(1))
+
+    def test_equality_with_repeated_labels(self):
+        d = DecreasingTree
+        assert d(5, d(3), d(3)) == d(5, d(3), d(3))
+        assert d(5, d(3), d(3)) != d(5, d(3, d(1)), d(3))
+        assert d(5, d(3, d(1)), d(3)) != d(5, d(3), d(3, d(1)))
+
+        # Every tree of up to four nodes with labels in 1..3: equal exactly
+        # when the repr, which spells out shape and labels, is equal.
+        def trees(top, size):
+            if size == 0:
+                yield None
+                return
+            for label in range(1, top + 1):
+                for left in range(size):
+                    for a in trees(label - 1, left):
+                        for b in trees(label - 1, size - 1 - left):
+                            yield DecreasingTree(label, a, b)
+
+        every = [t for size in range(1, 5) for t in trees(3, size)]
+        for t in every:
+            for u in every:
+                assert (t == u) == (repr(t) == repr(u)), (t, u)
+        again = [t for size in range(1, 5) for t in trees(3, size)]
+        assert all(t == u and hash(t) == hash(u) for t, u in zip(every, again))
 
 
 # The dataclass repr DecreasingTree had before it got an iterative one.

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from lyndonkit import (
+    CHECK_NAMES,
     CheckResult,
     Leaf,
     Node,
@@ -31,6 +32,7 @@ from lyndonkit import (
     right_lyndon_tree,
 )
 from lyndonkit.cli import _lyndon_violation, main
+from lyndonkit.cli import verify_word as real_verify_word
 
 from .strategies import BINARY, TERNARY
 
@@ -346,6 +348,30 @@ class TestTreeText:
 
 
 class TestVerify:
+    @pytest.fixture
+    def pool_results(self, monkeypatch):
+        """Two CPUs and, for the pool, one that runs every task at once in
+        this process and records each result it hands back."""
+        results = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                results.extend(map(fn, *iterables))
+                return iter(results)
+
+        monkeypatch.setattr("lyndonkit.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("lyndonkit.cli.os.cpu_count", lambda: 2)
+        return results
+
     def test_small_sweep_passes(self):
         code, out, _ = run_cli(["verify", "--max-len", "5"])
         assert code == 0
@@ -428,6 +454,43 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--max-len", "2"])
         assert code == 1
         assert err.startswith("FAIL omega-agreement on a: forced")
+
+    def test_jobs_hand_over_shards_of_counts(self, pool_results):
+        serial = run_cli(["verify", "--max-len", "10"])
+        assert pool_results == []
+        assert run_cli(["verify", "--max-len", "10", "--jobs", "2"]) == serial
+        assert serial[0] == 0 and "words checked: 2046\n" in serial[1]
+        # About four shards per worker for each length: 2 + 4 + 8 * 8.
+        assert len(pool_results) == 70
+        for lyndon, passes, failure in pool_results:
+            assert type(lyndon) is int and failure is None
+            assert list(passes) == list(CHECK_NAMES)
+            assert all(type(count) is int for count in passes.values())
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_first_failure_in_shortlex_order(self, monkeypatch, pool_results, jobs):
+        # bbab is the second word of its shard, serial or pooled; abbab is
+        # smaller in lexicographic order but comes later in shortlex order.
+        def broken(word):
+            if word.text() not in ("bbab", "abbab"):
+                return real_verify_word(word)
+            return VerificationReport(
+                word,
+                (
+                    CheckResult("omega-agreement", True),
+                    CheckResult("lyndon-definitions", False, "forced"),
+                ),
+            )
+
+        monkeypatch.setattr("lyndonkit.cli.verify_word", broken)
+        code, out, err = run_cli(["verify", "--max-len", "5", "--jobs", jobs])
+        assert (code, out, err) == (1, "", "FAIL lyndon-definitions on bbab: forced\n")
+        if jobs == "2":
+            failures = [f for _, _, f in pool_results if f is not None]
+            assert failures == [
+                "FAIL lyndon-definitions on bbab: forced",
+                "FAIL lyndon-definitions on abbab: forced",
+            ]
 
     def test_structured_rejected(self):
         code, _, err = run_cli(["verify", "--max-len", "3", "--format", "structured"])

@@ -213,6 +213,18 @@ class TestVerifyWord:
         assert not report.passed
         assert [c.name for c in report.failures()] == ["y"]
 
+    def test_check_detail_becomes_a_failed_result(self, monkeypatch):
+        checks = (
+            ("holds", lambda x: None, lambda x: True),
+            ("breaks", lambda x: "boom", lambda x: True),
+            ("skipped", lambda x: "never run", lambda x: False),
+        )
+        monkeypatch.setattr("lyndonkit.oracle._CHECKS", checks)
+        assert verify_word(w("ab")).checks == (
+            CheckResult("holds", True, ""),
+            CheckResult("breaks", False, "boom"),
+        )
+
     def test_end_factor_disagreement_is_a_check_failure(self, monkeypatch):
         word = w("ababaab")
         monkeypatch.setattr(
