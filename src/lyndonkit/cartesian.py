@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Sequence
 
-from .errors import DuplicateEntry, EmptySequence, InternalError, NotLyndon, SizeMismatch
-from .lyndon import is_lyndon
+from .errors import DuplicateEntry, EmptySequence, NotLyndon, SizeMismatch
 from .omega import omega_cmp
-from .trees import Leaf, MagmaTree, _leaves, _node, _stack_build
+from .trees import MagmaTree, _complete, _stack_build
 from .words import Ordering, Word, ensure_nonempty
 
 __all__ = [
@@ -200,22 +199,20 @@ def completion(skeleton: DecreasingTree, w: Word) -> MagmaTree:
         raise SizeMismatch(
             f"skeleton has {len(labels)} nodes but the word has {len(w.letters)} letters"
         )
-    return _stack_build(labels, _leaves(w), _node)
+    return _complete(labels, w)
 
 
 def left_cartesian_tree(w: Word) -> MagmaTree:
     """Complete the decreasing tree of the proper-prefix ranks of w.
 
-    The whole word always ranks last, so its entry is dropped before
-    building the skeleton; anything else means the ranking is broken.
-    One stack pass over the ranks, with the letters in the empty slots,
-    builds the skeleton and its completion together.
+    A word is Lyndon exactly when it ranks above all its proper prefixes
+    (Ufnarovskij 1995).  Ties rank the longer word lower, so a power u^k
+    ranks below u and fails, and a single letter passes.  The whole word's
+    entry is then dropped, and one stack pass over the other ranks, with
+    the letters in the empty slots, builds the skeleton and its completion
+    together.
     """
-    if not is_lyndon(w):
-        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    if len(w.letters) == 1:
-        return Leaf(w)
     ps = prefix_standard_permutation(w)
     if ps.sigma[-1] != len(w.letters):
-        raise InternalError("a Lyndon word must rank above all its proper prefixes")
-    return _stack_build(ps.sigma[:-1], _leaves(w), _node)
+        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
+    return _complete(ps.sigma[:-1], w)

@@ -240,6 +240,9 @@ def cmd_verify(args) -> int:
         for n, (lyndon, counts, failure) in zip(lengths, shards):
             if failure is not None:
                 print(failure, file=sys.stderr)
+                if pool:
+                    # Leaving the pool waits for every shard not cancelled.
+                    pool.shutdown(cancel_futures=True)
                 return 1
             lyndon_per_length[n - 1] += lyndon
             for name, count in counts.items():

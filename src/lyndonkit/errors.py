@@ -60,9 +60,5 @@ class SizeMismatch(LyndonKitError):
     """Completion needs exactly one more leaf than internal nodes."""
 
 
-class InternalError(LyndonKitError):
-    """A supposedly unbreakable invariant broke; this is a bug, not bad input."""
-
-
 class UniquenessViolation(LyndonKitError):
     """The number of nonincreasing factorizations found was not exactly one."""

@@ -125,19 +125,22 @@ def last_lyndon_factor(w: Word) -> Word:
 def enumerate_lyndon_words(alphabet: OrderedAlphabet, max_len: int) -> Iterator[Word]:
     """All Lyndon words of length at most max_len, in shortlex order.
 
-    Successor generation: extend the current word periodically to the
-    length bound, strip trailing top symbols, then bump the last letter.
+    Successor generation bounded by n (extend the current word periodically
+    to length n, strip trailing top symbols, then bump the last letter)
+    runs through the Lyndon words of length at most n in lexicographic
+    order.  One run per length n in turn, keeping the words of length
+    exactly n, streams them without collecting or sorting.
     """
     top = len(alphabet.symbols) - 1
-    found: list[tuple[int, ...]] = []
-    cur = [0] if top >= 0 and max_len >= 1 else []
-    while cur:
-        found.append(tuple(cur))
-        cur = [cur[i % len(cur)] for i in range(max_len)]
-        while cur and cur[-1] == top:
-            cur.pop()
-        if cur:
-            cur[-1] += 1
-    found.sort(key=lambda t: (len(t), t))
-    for tup in found:
-        yield Word(alphabet, tup)
+    if top < 0:
+        return
+    for n in range(1, max_len + 1):
+        cur = [0]
+        while cur:
+            if len(cur) == n:
+                yield Word(alphabet, tuple(cur))
+            cur = [cur[i % len(cur)] for i in range(n)]
+            while cur and cur[-1] == top:
+                cur.pop()
+            if cur:
+                cur[-1] += 1

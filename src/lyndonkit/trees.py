@@ -78,19 +78,6 @@ class Node:
 MagmaTree = Union[Leaf, Node]
 
 
-def _preorder(tree: MagmaTree) -> list[MagmaTree]:
-    """Every subtree, in pre-order, listed with an explicit stack."""
-    order = []
-    stack = [tree]
-    while stack:
-        tree = stack.pop()
-        order.append(tree)
-        if isinstance(tree, Node):
-            stack.append(tree.right)
-            stack.append(tree.left)
-    return order
-
-
 def _shape(tree: MagmaTree) -> tuple:
     """The tree as one tuple: its pre-order walk, None for each node and
     the alphabet and rank of each leaf.
@@ -114,20 +101,21 @@ def _shape(tree: MagmaTree) -> tuple:
 
 
 def _leaf_letters(tree: MagmaTree) -> list[Word]:
-    return [t.letter for t in _preorder(tree) if isinstance(t, Leaf)]
+    """The leaf letters, left to right, listed with an explicit stack."""
+    letters = []
+    stack = [tree]
+    while stack:
+        tree = stack.pop()
+        if isinstance(tree, Node):
+            stack += (tree.right, tree.left)
+        else:
+            letters.append(tree.letter)
+    return letters
 
 
 def foliage(tree: MagmaTree) -> Word:
     """The leaf word of the tree, left to right, joined in one O(n) copy."""
-    if isinstance(tree, Leaf):
-        return tree.letter
     return _join(_leaf_letters(tree))
-
-
-def _leaves(w: Word) -> list[Leaf]:
-    """One leaf per letter of w; equal letters share one Leaf object."""
-    shared = {x: Leaf(Word(w.alphabet, (x,))) for x in set(w.letters)}
-    return [shared[x] for x in w.letters]
 
 
 def left_standard_factorization(w: Word) -> tuple[Word, Word]:
@@ -185,9 +173,12 @@ def _stack_build(labels: Sequence[int], gaps: Sequence, join: Callable):
     return sub
 
 
-def _node(label: int, left: MagmaTree, right: MagmaTree) -> Node:
-    # The labels have fixed the shape; the tree keeps only the letters.
-    return Node(left, right)
+def _complete(labels: Sequence[int], w: Word) -> MagmaTree:
+    """The decreasing tree of labels, with the letters of w in its empty slots."""
+    # The labels fix the shape; equal letters share one Leaf object.
+    shared = {x: Leaf(Word(w.alphabet, (x,))) for x in set(w.letters)}
+    leaves = [shared[x] for x in w.letters]
+    return _stack_build(labels, leaves, lambda label, left, right: Node(left, right))
 
 
 def _build_blocks(w: Word, spine: Callable[[int, int], list[int]]) -> MagmaTree:
@@ -212,7 +203,7 @@ def _build_blocks(w: Word, spine: Callable[[int, int], list[int]]) -> MagmaTree:
                 rank -= 1
                 ranks[cut] = rank
             blocks.extend(zip([lo] + cuts, cuts))
-    return _stack_build(ranks[1:], _leaves(w), _node)
+    return _complete(ranks[1:], w)
 
 
 def left_lyndon_tree(w: Word) -> MagmaTree:
@@ -243,19 +234,25 @@ def right_lyndon_tree(w: Word) -> MagmaTree:
     return _build_blocks(w, lambda lo, hi: [_smallest_proper_suffix(ls, lo, hi), hi])
 
 
-def _check_address(address: str) -> None:
+def _walk(tree: MagmaTree, address: str) -> tuple[MagmaTree, list[MagmaTree]]:
+    """The addressed subtree, and the left subtrees hanging off the path to it."""
     if any(step not in "LR" for step in address):
         raise BadAddress(f"address {address!r} must use only 'L' and 'R'")
+    hanging = []
+    for depth, step in enumerate(address):
+        if isinstance(tree, Leaf):
+            raise BadAddress(f"address {address!r} walks into a leaf at depth {depth}")
+        if step == "L":
+            tree = tree.left
+        else:
+            hanging.append(tree.left)
+            tree = tree.right
+    return tree, hanging
 
 
 def subtree_at(tree: MagmaTree, address: str) -> MagmaTree:
     """The subtree rooted at the addressed node."""
-    _check_address(address)
-    for depth, step in enumerate(address):
-        if isinstance(tree, Leaf):
-            raise BadAddress(f"address {address!r} walks into a leaf at depth {depth}")
-        tree = tree.left if step == "L" else tree.right
-    return tree
+    return _walk(tree, address)[0]
 
 
 def left_subtrees_sequence(tree: MagmaTree, address: str) -> tuple[MagmaTree, ...]:
@@ -264,20 +261,10 @@ def left_subtrees_sequence(tree: MagmaTree, address: str) -> tuple[MagmaTree, ..
     The sequence ends with the addressed node's own left subtree, so the
     address must land on an internal node.
     """
-    _check_address(address)
-    hanging = []
-    for step in address:
-        if isinstance(tree, Leaf):
-            break
-        if step == "L":
-            tree = tree.left
-        else:
-            hanging.append(tree.left)
-            tree = tree.right
-    if isinstance(tree, Leaf):
+    node, hanging = _walk(tree, address)
+    if isinstance(node, Leaf):
         raise BadAddress(f"address {address!r} does not reach an internal node")
-    hanging.append(tree.left)
-    return tuple(hanging)
+    return (*hanging, node.left)
 
 
 def left_foliage(tree: MagmaTree, address: str) -> Word:
@@ -285,19 +272,8 @@ def left_foliage(tree: MagmaTree, address: str) -> Word:
 
     Its length equals the number of leaves strictly to the left of the node.
     """
-    _check_address(address)
-    letters: list[Word] = []
-    for step in address:
-        if isinstance(tree, Leaf):
-            break
-        if step == "L":
-            tree = tree.left
-        else:
-            letters += _leaf_letters(tree.left)
-            tree = tree.right
-    if isinstance(tree, Leaf):
-        raise BadAddress(f"address {address!r} does not reach an internal node")
-    return _join(letters + _leaf_letters(tree.left))
+    sequence = left_subtrees_sequence(tree, address)
+    return _join([letter for sub in sequence for letter in _leaf_letters(sub)])
 
 
 def internal_addresses(tree: MagmaTree) -> Iterator[str]:

@@ -18,6 +18,8 @@ from lyndonkit import (
     errors,
     foliage,
     in_order_labels,
+    is_lyndon,
+    iter_all_words,
     left_cartesian_tree,
     left_cartesian_tree_via_prefixes,
     left_lyndon_tree,
@@ -252,6 +254,23 @@ class TestLeftCartesianTree:
     def test_tiny_examples(self):
         assert left_cartesian_tree(w("a")) == Leaf(w("a"))
         assert left_cartesian_tree(w("ab")) == Node(Leaf(w("a")), Leaf(w("b")))
+
+    def test_single_letter_is_a_leaf(self):
+        for letter in "abc":
+            word = make_word(letter, TERNARY)
+            assert left_cartesian_tree(word) == Leaf(word)
+
+    def test_not_lyndon_exactly_when_the_word_is_not_lyndon(self):
+        # The whole word ranks above its proper prefixes exactly when it is
+        # Lyndon; a power u^k ranks below u.
+        for alphabet, max_len in ((BINARY, 10), (TERNARY, 6)):
+            for word in iter_all_words(alphabet, max_len):
+                try:
+                    left_cartesian_tree(word)
+                except errors.NotLyndon:
+                    assert not is_lyndon(word), word
+                else:
+                    assert is_lyndon(word), word
 
     def test_not_lyndon_rejected(self):
         with pytest.raises(errors.NotLyndon):

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from lyndonkit import (
     right_lyndon_tree,
 )
 from lyndonkit.cli import _lyndon_violation, main
+from lyndonkit.cli import _verify_one as real_verify_one
 from lyndonkit.cli import verify_word as real_verify_word
 
 from .strategies import BINARY, TERNARY
@@ -368,6 +371,9 @@ class TestVerify:
                 results.extend(map(fn, *iterables))
                 return iter(results)
 
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
         monkeypatch.setattr("lyndonkit.cli.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr("lyndonkit.cli.os.cpu_count", lambda: 2)
         return results
@@ -434,6 +440,9 @@ class TestVerify:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
         monkeypatch.setattr("lyndonkit.cli.ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr("lyndonkit.cli.os.cpu_count", lambda: 3)
         serial = run_cli(["verify", "--max-len", "4"])
@@ -454,6 +463,41 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--max-len", "2"])
         assert code == 1
         assert err.startswith("FAIL omega-agreement on a: forced")
+
+    def test_jobs_cancel_the_shards_after_a_failure(self, monkeypatch):
+        # A thread pool has the process pool's semantics: map submits every
+        # shard at once, and leaving the pool waits for each one not
+        # cancelled.  Every shard but the first, which fails on the word a,
+        # waits for the shutdown, so only the one each worker has started
+        # by then may run.
+        shut = threading.Event()
+        calls = []
+
+        class Pool(ThreadPoolExecutor):
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shut.set()
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        def counted(symbols, n, head):
+            calls.append((n, head))
+            if (n, head) != (1, (0,)):
+                assert shut.wait(timeout=60)
+            return real_verify_one(symbols, n, head)
+
+        def broken(word):
+            if word.text() != "a":
+                return real_verify_word(word)
+            return VerificationReport(word, (CheckResult("omega-agreement", False, "forced"),))
+
+        monkeypatch.setattr("lyndonkit.cli.ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("lyndonkit.cli.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("lyndonkit.cli._verify_one", counted)
+        monkeypatch.setattr("lyndonkit.cli.verify_word", broken)
+        code, out, err = run_cli(["verify", "--max-len", "11", "--jobs", "2"])
+        assert (code, out, err) == (1, "", "FAIL omega-agreement on a: forced\n")
+        # Of 78 shards (2 + 4 + 8 for lengths 1 to 3, 8 for each longer
+        # length), the first ran, and at most one more per worker.
+        assert (1, (0,)) in calls and len(calls) <= 3
 
     def test_jobs_hand_over_shards_of_counts(self, pool_results):
         serial = run_cli(["verify", "--max-len", "10"])

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given
@@ -164,6 +164,12 @@ class TestEnumeration:
     def test_length_five_count(self):
         got = [x for x in enumerate_lyndon_words(BINARY, 5) if len(x) == 5]
         assert len(got) == 6
+
+    def test_streams_by_length(self):
+        # The first 200 words, all of length at most 10, come without the
+        # words up to length 64 being generated first.
+        got = list(islice(enumerate_lyndon_words(BINARY, 64), 200))
+        assert got == list(enumerate_lyndon_words(BINARY, 10))[:200]
 
     def test_unary_alphabet(self):
         got = list(enumerate_lyndon_words(OrderedAlphabet("a"), 4))

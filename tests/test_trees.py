@@ -214,6 +214,13 @@ class TestAddresses:
         with pytest.raises(errors.BadAddress):
             left_foliage(leaf("a"), "")
 
+    def test_address_through_a_leaf_partway(self):
+        # "RL" is a leaf, so "RLLR" steps below it at depth 2.
+        tree = example_tree()
+        for fn in (subtree_at, left_subtrees_sequence, left_foliage):
+            with pytest.raises(errors.BadAddress, match="walks into a leaf at depth 2"):
+                fn(tree, "RLLR")
+
     def test_internal_addresses_preorder(self):
         assert list(internal_addresses(example_tree())) == [
             "",
