@@ -45,26 +45,26 @@ class LyndonFactorization:
         return iter(self.factors)
 
 
-def _lyndon_prefix_lengths(ls: tuple[int, ...]) -> list[int]:
-    """Lengths of all Lyndon prefixes of a nonempty letter tuple, ascending.
+def _lyndon_prefix_ends(ls: tuple[int, ...], lo: int, hi: int) -> tuple[list[int], int]:
+    """Ends of the Lyndon prefixes of ls[lo:hi], lo < hi, ascending, and where the scan stopped.
 
-    Duval's inner scan from position 0: ls[:j] stays a prefix of a power of
-    the Lyndon word ls[:j - k].  A larger letter makes ls[:j + 1] Lyndon, an
+    Duval's inner scan: ls[lo:j] stays a prefix of a power of the Lyndon
+    word ls[lo:j + lo - k].  A larger letter makes ls[lo:j + 1] Lyndon, an
     equal one extends the power, and a smaller one ends every longer
     Lyndon prefix.
     """
-    lengths = [1]
-    k = 0
-    for j in range(1, len(ls)):
+    ends = [lo + 1]
+    k = lo
+    for j in range(lo + 1, hi):
         a, b = ls[k], ls[j]
         if a < b:
-            k = 0
-            lengths.append(j + 1)
+            k = lo
+            ends.append(j + 1)
         elif a == b:
             k += 1
         else:
-            break
-    return lengths
+            return ends, j
+    return ends, hi
 
 
 def _duval_cuts(ls: tuple[int, ...], lo: int, hi: int) -> list[int]:
@@ -72,14 +72,10 @@ def _duval_cuts(ls: tuple[int, ...], lo: int, hi: int) -> list[int]:
     cuts = []
     i = lo
     while i < hi:
-        # Grow the window while ls[i:j] stays a prefix of a power of a
-        # Lyndon word; k trails the position being matched against.
-        j, k = i + 1, i
-        while j < hi and ls[k] <= ls[j]:
-            k = i if ls[k] < ls[j] else k + 1
-            j += 1
-        step = j - k
-        while i <= k:
+        # ls[i:stop] is a prefix of a power of ls[i:i + step]; each whole copy is a factor.
+        ends, stop = _lyndon_prefix_ends(ls, i, hi)
+        step = ends[-1] - i
+        while i + step <= stop:
             cuts.append(i)
             i += step
     cuts.append(hi)
@@ -92,8 +88,7 @@ def is_lyndon(w: Word) -> bool:
     Equivalently, w is its own longest Lyndon prefix.
     """
     ensure_nonempty(w)
-    ls = w.letters
-    return _lyndon_prefix_lengths(ls)[-1] == len(ls)
+    return _lyndon_prefix_ends(w.letters, 0, len(w.letters))[0][-1] == len(w.letters)
 
 
 def lyndon_factorization(w: Word) -> LyndonFactorization:
@@ -109,7 +104,7 @@ def lyndon_factorization(w: Word) -> LyndonFactorization:
 def first_lyndon_factor(w: Word) -> Word:
     """Leading factor of the factorization: the longest Lyndon prefix, in O(n)."""
     ensure_nonempty(w)
-    return w[:_lyndon_prefix_lengths(w.letters)[-1]]
+    return w[:_lyndon_prefix_ends(w.letters, 0, len(w.letters))[0][-1]]
 
 
 def last_lyndon_factor(w: Word) -> Word:
@@ -118,8 +113,7 @@ def last_lyndon_factor(w: Word) -> Word:
     Read off one Duval scan, in O(n).
     """
     ensure_nonempty(w)
-    n = len(w.letters)
-    return w[_duval_cuts(w.letters, 0, n)[-2]:]
+    return w[_duval_cuts(w.letters, 0, len(w.letters))[-2]:]
 
 
 def enumerate_lyndon_words(alphabet: OrderedAlphabet, max_len: int) -> Iterator[Word]:

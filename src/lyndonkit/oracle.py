@@ -401,8 +401,10 @@ def _check_left_foliage_concatenation(w: Word):
     t = left_lyndon_tree(w)
     for addr in internal_addresses(t):
         ells = [foliage(s) for s in left_subtrees_sequence(t, addr)]
-        if left_foliage(t, addr) != _join(ells):
-            return f"node {addr or 'root'}: foliages do not concatenate"
+        # The leaves left of the node's right subtree: a prefix of w.
+        whole = left_foliage(t, addr)
+        if whole != _join(ells) or whole.letters != w.letters[:len(whole.letters)]:
+            return f"node {addr or 'root'}: foliages do not concatenate to a prefix of the word"
 
 
 def _check_left_subtrees_order(w: Word):
@@ -490,11 +492,14 @@ CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
 def verify_word(w: Word) -> VerificationReport:
-    """Run every applicable cross-check on one word."""
+    """Run every applicable cross-check on one word; a check that raises fails."""
     ensure_nonempty(w)
     results = []
     for name, check, applies in _CHECKS:
         if applies(w):
-            detail = check(w)
+            try:
+                detail = check(w)
+            except Exception as err:
+                detail = f"raised {type(err).__name__}: {err}"
             results.append(CheckResult(name, detail is None, detail or ""))
     return VerificationReport(w, tuple(results))

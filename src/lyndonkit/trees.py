@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
-from .lyndon import _duval_cuts, _lyndon_prefix_lengths, is_lyndon
+from .lyndon import _duval_cuts, _lyndon_prefix_ends, is_lyndon
 from .words import OrderedAlphabet, Word, _join, ensure_nonempty, make_word
 
 __all__ = [
@@ -124,17 +124,13 @@ def left_standard_factorization(w: Word) -> tuple[Word, Word]:
     Both parts of the result are Lyndon again.
     """
     ensure_nonempty(w)
-    lengths = _lyndon_prefix_lengths(w.letters)
-    if lengths[-1] != len(w.letters):
+    n = len(w.letters)
+    ends = _lyndon_prefix_ends(w.letters, 0, n)[0]
+    if ends[-1] != n:
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    if len(w.letters) < 2:
+    if n < 2:
         raise TooShort("single letters have no standard factorization")
-    return w[:lengths[-2]], w[lengths[-2]:]
-
-
-def _smallest_proper_suffix(ls: tuple[int, ...], lo: int, hi: int) -> int:
-    # The last Duval factor of a word is its smallest suffix.
-    return _duval_cuts(ls, lo + 1, hi)[-2]
+    return w[:ends[-2]], w[ends[-2]:]
 
 
 def right_standard_factorization(w: Word) -> tuple[Word, Word]:
@@ -147,7 +143,7 @@ def right_standard_factorization(w: Word) -> tuple[Word, Word]:
     n = len(w.letters)
     if n < 2:
         raise TooShort("single letters have no standard factorization")
-    cut = _smallest_proper_suffix(w.letters, 0, n)
+    cut = _duval_cuts(w.letters, 1, n)[-2]  # the last Duval factor of w[1:]
     return w[:cut], w[cut:]
 
 
@@ -217,21 +213,21 @@ def left_lyndon_tree(w: Word) -> MagmaTree:
     if not is_lyndon(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
     ls = w.letters
-    return _build_blocks(
-        w, lambda lo, hi: [lo + k for k in _lyndon_prefix_lengths(ls[lo:hi])]
-    )
+    return _build_blocks(w, lambda lo, hi: _lyndon_prefix_ends(ls, lo, hi)[0])
 
 
 def right_lyndon_tree(w: Word) -> MagmaTree:
     """Iterate the right standard factorization down to single letters.
 
-    Each block splits before its smallest proper suffix, found with one
-    Duval scan.
+    A block a f_1 ... f_m, where f_1 >= ... >= f_m are the Duval factors of
+    the block without its first letter, splits before f_m, its smallest
+    proper suffix; its left part then splits before f_(m-1), and so on.  So
+    one Duval scan per block gives its whole left spine.
     """
     if not is_lyndon(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
     ls = w.letters
-    return _build_blocks(w, lambda lo, hi: [_smallest_proper_suffix(ls, lo, hi), hi])
+    return _build_blocks(w, lambda lo, hi: _duval_cuts(ls, lo + 1, hi))
 
 
 def _walk(tree: MagmaTree, address: str) -> tuple[MagmaTree, list[MagmaTree]]:

@@ -36,6 +36,7 @@ from lyndonkit import (
 from lyndonkit.cli import _lyndon_violation, main
 from lyndonkit.cli import _verify_one as real_verify_one
 from lyndonkit.cli import verify_word as real_verify_word
+from lyndonkit.errors import NotLyndon
 
 from .strategies import BINARY, TERNARY
 
@@ -535,6 +536,27 @@ class TestVerify:
                 "FAIL lyndon-definitions on bbab: forced",
                 "FAIL lyndon-definitions on abbab: forced",
             ]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "error",
+        [IndexError("tuple index out of range"), NotLyndon("'ba' is not a Lyndon word")],
+        ids=["IndexError", "NotLyndon"],
+    )
+    def test_check_that_raises_fails(self, monkeypatch, pool_results, jobs, error):
+        import lyndonkit.oracle
+
+        def raising(word):
+            raise error
+
+        checks = tuple(
+            (name, raising if name == "lyndon-definitions" else check, applies)
+            for name, check, applies in lyndonkit.oracle._CHECKS
+        )
+        monkeypatch.setattr(lyndonkit.oracle, "_CHECKS", checks)
+        code, out, err = run_cli(["verify", "--max-len", "3", "--jobs", jobs])
+        detail = f"raised {type(error).__name__}: {error}"
+        assert (code, out, err) == (1, "", f"FAIL lyndon-definitions on a: {detail}\n")
 
     def test_structured_rejected(self):
         code, _, err = run_cli(["verify", "--max-len", "3", "--format", "structured"])

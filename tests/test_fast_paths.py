@@ -4,7 +4,9 @@ Each fast routine is compared with a slow one written from the definition:
 exhaustively on every word of up to 10 letters over ``ab`` and ``abc``, on
 the benchmark's word families (random, comb, Christoffel) at small sizes,
 and on hypothesis-drawn Lyndon words.  The deep-tree class builds trees of
-2,000-letter words, far deeper than the interpreter's recursion limit.
+2,000-letter words, far deeper than the interpreter's recursion limit, and
+the right tree is checked on words of up to 500 letters whose blocks have
+long Duval factorizations.
 The end factors are checked against the oracle's prefix and suffix scans,
 and the extension comparison and word encoding on 16,000-letter inputs.
 """
@@ -82,6 +84,10 @@ def lyndon_conjugate(word: Word) -> Word | None:
 
 def comb(n: int) -> Word:
     return Word(BINARY, (0,) * (n - 1) + (1,))
+
+
+def reversed_comb(n: int) -> Word:
+    return Word(BINARY, (0,) + (1,) * (n - 1))
 
 
 def christoffel(a_count: int, b_count: int) -> Word:
@@ -267,7 +273,9 @@ def walk(tree):
 
 class TestDeepTrees:
     @pytest.mark.parametrize(
-        "w", [comb(2000), christoffel(1597, 987)], ids=["comb-2000", "christoffel-2584"]
+        "w",
+        [comb(2000), christoffel(1597, 987), reversed_comb(2000)],
+        ids=["comb-2000", "christoffel-2584", "reversed-comb-2000"],
     )
     def test_builders_do_not_recurse(self, w):
         left = left_lyndon_tree(w)
@@ -282,6 +290,28 @@ class TestDeepTrees:
     def test_comb_is_a_right_comb(self):
         _, shape = walk(left_lyndon_tree(comb(2000)))
         assert shape == [0, 1] * 1999 + [1]
+
+    def test_reversed_comb_right_tree_is_a_left_comb(self):
+        # ((...((a,b),b)...),b): each block a b^k splits before its last b.
+        _, shape = walk(right_lyndon_tree(reversed_comb(2000)))
+        assert shape == [0] * 1999 + [1] * 2000
+
+
+def right_spine_words():
+    """Lyndon words whose blocks have long Duval factorizations, up to about 500 letters."""
+    out = {f"ab^{n - 1}": reversed_comb(n) for n in (2, 3, 50, 500)}
+    for a, b in ((144, 89), (233, 144), (250, 1), (1, 250), (301, 199)):
+        out[f"christoffel-{a}-{b}"] = christoffel(a, b)
+    for k, m in ((1, 100), (3, 60), (7, 40), (30, 15)):
+        out[f"(a^{k}b)^{m}b"] = Word(BINARY, ((0,) * k + (1,)) * m + (1,))
+    return out
+
+
+class TestRightSpine:
+    @pytest.mark.parametrize("w", [pytest.param(w, id=k) for k, w in right_spine_words().items()])
+    def test_matches_smallest_suffix_splits(self, w):
+        assert is_lyndon(w)
+        assert right_lyndon_tree(w) == right_tree_by_smallest_suffix(w)
 
 
 def check_end_factors(w: Word) -> None:

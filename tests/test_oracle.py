@@ -214,16 +214,31 @@ class TestVerifyWord:
         assert [c.name for c in report.failures()] == ["y"]
 
     def test_check_detail_becomes_a_failed_result(self, monkeypatch):
+        def raising(x):
+            raise IndexError("tuple index out of range")
+
         checks = (
             ("holds", lambda x: None, lambda x: True),
             ("breaks", lambda x: "boom", lambda x: True),
+            ("raises", raising, lambda x: True),
             ("skipped", lambda x: "never run", lambda x: False),
         )
         monkeypatch.setattr("lyndonkit.oracle._CHECKS", checks)
         assert verify_word(w("ab")).checks == (
             CheckResult("holds", True, ""),
             CheckResult("breaks", False, "boom"),
+            CheckResult("raises", False, "raised IndexError: tuple index out of range"),
         )
+
+    def test_left_foliage_must_be_a_prefix_of_the_word(self, monkeypatch):
+        # Reversing every leaf walk reverses both sides of the concatenation
+        # alike, so only the prefix condition sees it.
+        import lyndonkit.trees
+
+        real = lyndonkit.trees._leaf_letters
+        monkeypatch.setattr(lyndonkit.trees, "_leaf_letters", lambda t: real(t)[::-1])
+        failed = [c.name for c in verify_word(w("aabab")).failures()]
+        assert "left-foliage-concatenation" in failed
 
     def test_end_factor_disagreement_is_a_check_failure(self, monkeypatch):
         word = w("ababaab")
