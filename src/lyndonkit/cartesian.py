@@ -101,16 +101,17 @@ def prefix_standard_permutation(w: Word) -> PrefixStandard:
     z = _z_array(ls)
 
     def cmp(i: int, j: int) -> int:
+        sign = 1
         if i > j:
-            return -cmp(j, i)
+            i, j, sign = j, i, -1
         d = j - i
         k = z[i]
         if k < d:
-            return -1 if ls[k] < ls[i + k] else 1
+            return -sign if ls[k] < ls[i + k] else sign
         k = z[d]
         if k < i:
-            return -1 if ls[d + k] < ls[k] else 1
-        return 1
+            return -sign if ls[d + k] < ls[k] else sign
+        return sign
 
     by_rank = sorted(range(1, n + 1), key=cmp_to_key(cmp))
     sigma = [0] * n
@@ -202,6 +203,14 @@ def completion(skeleton: DecreasingTree, w: Word) -> MagmaTree:
     return _complete(labels, w)
 
 
+def _cartesian_ranks(w: Word) -> tuple[int, ...]:
+    """The ranks of the proper prefixes of the Lyndon word w: see left_cartesian_tree."""
+    sigma = prefix_standard_permutation(w).sigma
+    if sigma[-1] != len(sigma):
+        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
+    return sigma[:-1]
+
+
 def left_cartesian_tree(w: Word) -> MagmaTree:
     """Complete the decreasing tree of the proper-prefix ranks of w.
 
@@ -212,7 +221,4 @@ def left_cartesian_tree(w: Word) -> MagmaTree:
     the letters in the empty slots, builds the skeleton and its completion
     together.
     """
-    ps = prefix_standard_permutation(w)
-    if ps.sigma[-1] != len(w.letters):
-        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    return _complete(ps.sigma[:-1], w)
+    return _complete(_cartesian_ranks(w), w)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: compare, factorize, pstd, tree, verify.  Rendering is
-text (default), structured (JSON), or dot (trees only).  Exit codes:
-0 success, 1 a cross-check or sweep failed, 2 usage or input error.
+Subcommands: compare, factorize, pstd, tree, verify.  Rendering is text
+(default), structured (JSON), or dot (trees only).  Exit codes: 0 success,
+1 a cross-check or sweep failed, 2 usage or input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .cartesian import _z_array, left_cartesian_tree, prefix_standard_permutation
+from .cartesian import _cartesian_ranks, _z_array, prefix_standard_permutation
 from .errors import LyndonKitError
 from .lyndon import (
     first_lyndon_factor,
@@ -24,13 +24,7 @@ from .lyndon import (
 )
 from .omega import omega_cmp, six_conditions
 from .oracle import CHECK_NAMES, verify_word
-from .trees import (
-    _tree_structured,
-    format_tree,
-    left_lyndon_tree,
-    render_dot,
-    right_lyndon_tree,
-)
+from .trees import _bracket_counts, _left_ranks, _right_ranks, _write, _write_dot, _write_json
 from .words import Ordering, OrderedAlphabet, Word, make_word
 
 __all__ = ["main"]
@@ -157,21 +151,14 @@ def cmd_tree(args) -> int:
             file=sys.stderr,
         )
         return 2
-    builders = {
-        "left": left_lyndon_tree,
-        "right": right_lyndon_tree,
-        "cartesian": left_cartesian_tree,
-    }
-    tree = builders[args.kind](w)
-    if args.format == "dot":
-        print(render_dot(tree))
-    elif args.format == "structured":
-        print(_tree_structured(tree, alphabet))
-    else:
-        print(format_tree(tree))
+    # Trees are written and compared in bracket form, so no node is made.
+    ranks = {"left": _left_ranks, "right": _right_ranks, "cartesian": _cartesian_ranks}
+    writers = {"text": _write, "structured": _write_json, "dot": _write_dot}
+    counts = _bracket_counts(ranks[args.kind](w))
+    # make_word accepted every character, so the input is the word's text.
+    print(writers[args.format](args.w, *counts))
     if args.kind in ("left", "cartesian"):
-        other = left_cartesian_tree(w) if args.kind == "left" else left_lyndon_tree(w)
-        equal = tree == other
+        equal = counts == _bracket_counts(ranks["cartesian" if args.kind == "left" else "left"](w))
         if args.format == "text":
             print(f"left == cartesian: {'equal' if equal else 'different'}")
         if not equal:
@@ -324,6 +311,9 @@ def main(argv=None) -> int:
     except (LyndonKitError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a fault in lyndonkit, not in the input
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,16 +5,17 @@ foliage is the word read off the leaves from left to right.  Iterating the
 left (or right) standard factorization of a Lyndon word grows such a tree.
 
 Internal nodes are addressed by strings over 'L' and 'R' describing the
-path from the root.  A tree also has a text form, (l,r) with letters as
-leaves, a JSON form of nested {"l": ..., "r": ...} and {"leaf": ...}
-objects, and a DOT form.
+path from the root.  A tree's text form, (l,r) with letters as leaves, its
+JSON form of nested {"l": ..., "r": ...} and {"leaf": ...} objects and its
+DOT form are all written from its bracket form (see _brackets).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
 from .lyndon import _duval_cuts, _lyndon_prefix_ends, is_lyndon
@@ -64,40 +65,43 @@ class Node:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Node):
             return NotImplemented
-        return _shape(self) == _shape(other)
+        return _brackets(self) == _brackets(other)
 
     def __hash__(self) -> int:
-        return hash(_shape(self))
+        return hash(tuple(map(tuple, _brackets(self))))
 
     def __repr__(self) -> str:
-        return _write_tree(
-            self, "Node(left=", ", right=", ")", lambda s: f"Leaf(letter=Word({s!r}))"
-        )
+        symbols, opens, closes, _ = _brackets(self)
+        leaves = [f"Leaf(letter=Word({s!r}))" for s in symbols]
+        return _write(leaves, opens, closes, "Node(left=", ", right=", ")")
 
 
 MagmaTree = Union[Leaf, Node]
 
 
-def _shape(tree: MagmaTree) -> tuple:
-    """The tree as one tuple: its pre-order walk, None for each node and
-    the alphabet and rank of each leaf.
-
-    Pre-order walks of complete binary trees form a prefix-free code, so
-    two trees are equal exactly when these tuples are.  Leaves over one
-    alphabet object then compare by identity and an int, not through
-    `Leaf.__eq__` and `Word.__eq__`.
+def _brackets(tree: MagmaTree) -> tuple[list[str], list[int], list[int], list[OrderedAlphabet]]:
+    """The tree in bracket form: for each leaf, left to right, its symbol, how
+    many internal nodes it is the leftmost leaf of (opens) and the rightmost
+    leaf of (closes), and its alphabet.  This is the (l,r) text, run-length
+    coded, so two trees are equal exactly when their bracket forms are.
     """
-    shape: list = []
-    stack = [tree]
+    symbols, opens, closes, alphabets = [], [], [], []
+    entered = 0  # nodes entered since the last leaf: the next leaf opens them all
+    # Pre-order, each subtree stacked with the count of nodes it closes for.
+    stack: list = [tree, 0]
     while stack:
-        tree = stack.pop()
+        ending, tree = stack.pop(), stack.pop()
         if isinstance(tree, Node):
-            shape.append(None)
-            stack += (tree.right, tree.left)
+            entered += 1
+            stack += (tree.right, ending + 1, tree.left, 0)
         else:
             letter = tree.letter
-            shape += (letter.alphabet, letter.letters[0])
-    return tuple(shape)
+            symbols.append(letter.alphabet.symbols[letter.letters[0]])
+            opens.append(entered)
+            closes.append(ending)
+            alphabets.append(letter.alphabet)
+            entered = 0
+    return symbols, opens, closes, alphabets
 
 
 def _leaf_letters(tree: MagmaTree) -> list[Word]:
@@ -147,26 +151,23 @@ def right_standard_factorization(w: Word) -> tuple[Word, Word]:
     return w[:cut], w[cut:]
 
 
-def _stack_build(labels: Sequence[int], gaps: Sequence, join: Callable):
+def _stack_build(labels: Iterable[int], gaps: Iterable, join: Callable):
     """Decreasing tree of distinct labels, built in one stack pass.
 
     The stack holds a decreasing run of labels, each with its finished left
     subtree.  A larger label pops the smaller ones, and each popped label
-    becomes the right subtree of the one under it.  gaps[k] fills the empty
-    slot just left of labels[k], and gaps[-1] the last slot;
-    join(label, left, right) makes a node.
+    becomes the right subtree of the one under it.  The k-th gap fills the
+    empty slot just left of labels[k], and one more gap the last slot;
+    join(label, left, right) makes a node.  A last label above all others
+    pops the stack into one tree.
     """
-    stack: list[tuple[int, object]] = []
-    for label, sub in zip(labels, gaps):
-        while stack and stack[-1][0] < label:
-            top, left = stack.pop()
-            sub = join(top, left, sub)
-        stack.append((label, sub))
-    sub = gaps[len(labels)]
-    while stack:
-        top, left = stack.pop()
-        sub = join(top, left, sub)
-    return sub
+    tops, lefts = [], []
+    for label, sub in zip(itertools.chain(labels, [float("inf")]), gaps):
+        while tops and tops[-1] < label:
+            sub = join(tops.pop(), lefts.pop(), sub)
+        tops.append(label)
+        lefts.append(sub)
+    return lefts[0]
 
 
 def _complete(labels: Sequence[int], w: Word) -> MagmaTree:
@@ -177,17 +178,31 @@ def _complete(labels: Sequence[int], w: Word) -> MagmaTree:
     return _stack_build(labels, leaves, lambda label, left, right: Node(left, right))
 
 
-def _build_blocks(w: Word, spine: Callable[[int, int], list[int]]) -> MagmaTree:
-    """Tree over w grown from blocks w[lo:hi], as the decreasing tree of cut ranks.
+def _bracket_counts(labels: Sequence[int]) -> tuple[list[int], list[int]]:
+    """opens and closes of _complete(labels, w): its stack pass, with each
+    subtree given as its span (first leaf, last leaf), so no node is made."""
+    n = len(labels) + 1
+    opens, closes = [0] * n, [0] * n
+
+    def join(label: int, left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
+        opens[left[0]] += 1
+        closes[right[1]] += 1
+        return left[0], right[1]
+
+    _stack_build(labels, zip(range(n), range(n)), join)
+    return opens, closes
+
+
+def _block_ranks(n: int, spine: Callable[[int, int], list[int]]) -> list[int]:
+    """Labels of a tree over n letters grown from blocks [lo, hi), as cut ranks.
 
     spine(lo, hi) returns cuts lo < c_1 < ... < c_m = hi of a block of two
     or more letters; the block's tree is the left fold of the trees of its
-    parts w[lo:c_1], w[c_1:c_2], ..., w[c_(m-1):hi].  So c_(m-1) splits the
+    parts [lo, c_1), [c_1, c_2), ..., [c_(m-1), hi).  So c_(m-1) splits the
     block at its root, c_(m-2) its left child, and so on: ranking a block's
     cuts from the last down, and every cut inside its parts lower still,
     makes the tree the decreasing tree of the ranks.
     """
-    n = len(w.letters)
     ranks = [0] * n  # ranks[k] ranks the cut before letter k
     rank = n
     blocks = [(0, n)]
@@ -199,35 +214,43 @@ def _build_blocks(w: Word, spine: Callable[[int, int], list[int]]) -> MagmaTree:
                 rank -= 1
                 ranks[cut] = rank
             blocks.extend(zip([lo] + cuts, cuts))
-    return _complete(ranks[1:], w)
+    return ranks[1:]
 
 
-def left_lyndon_tree(w: Word) -> MagmaTree:
-    """Iterate the left standard factorization down to single letters.
+def _left_ranks(w: Word) -> list[int]:
+    """Labels of the left Lyndon tree of the Lyndon word w.
 
     The Lyndon prefixes of a prefix u of a block are the block's Lyndon
     prefixes shorter than u, so one prefix scan gives the whole left spine
     of the block's tree; the Lyndon words between consecutive spine cuts
     are the right children, scanned in turn.
     """
-    if not is_lyndon(w):
-        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    ls = w.letters
-    return _build_blocks(w, lambda lo, hi: _lyndon_prefix_ends(ls, lo, hi)[0])
+    return _block_ranks(len(w), lambda lo, hi: _lyndon_prefix_ends(w.letters, lo, hi)[0])
 
 
-def right_lyndon_tree(w: Word) -> MagmaTree:
-    """Iterate the right standard factorization down to single letters.
+def _right_ranks(w: Word) -> list[int]:
+    """Labels of the right Lyndon tree of the Lyndon word w.
 
     A block a f_1 ... f_m, where f_1 >= ... >= f_m are the Duval factors of
     the block without its first letter, splits before f_m, its smallest
     proper suffix; its left part then splits before f_(m-1), and so on.  So
     one Duval scan per block gives its whole left spine.
     """
+    return _block_ranks(len(w), lambda lo, hi: _duval_cuts(w.letters, lo + 1, hi))
+
+
+def left_lyndon_tree(w: Word) -> MagmaTree:
+    """Iterate the left standard factorization down to single letters."""
     if not is_lyndon(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    ls = w.letters
-    return _build_blocks(w, lambda lo, hi: _duval_cuts(ls, lo + 1, hi))
+    return _complete(_left_ranks(w), w)
+
+
+def right_lyndon_tree(w: Word) -> MagmaTree:
+    """Iterate the right standard factorization down to single letters."""
+    if not is_lyndon(w):
+        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
+    return _complete(_right_ranks(w), w)
 
 
 def _walk(tree: MagmaTree, address: str) -> tuple[MagmaTree, list[MagmaTree]]:
@@ -283,41 +306,51 @@ def internal_addresses(tree: MagmaTree) -> Iterator[str]:
             stack.append((tree.left, address + "L"))
 
 
-def _symbol(leaf: Leaf) -> str:
-    """The symbol of a leaf's one letter."""
-    letter = leaf.letter
-    return letter.alphabet.symbols[letter.letters[0]]
+def _write(leaves: Sequence[str], opens, closes, opening="(", separator=",", closing=")") -> str:
+    """Write a tree in bracket form, a node as opening, left, separator, right, closing.
+
+    Consecutive leaves part at one node, their lowest common ancestor, so
+    one separator lies between them.  The defaults give format_tree's form.
+    """
+    return separator.join(
+        [opening * o + leaf + closing * c for leaf, o, c in zip(leaves, opens, closes)]
+    )
 
 
-def _write_tree(
-    tree: MagmaTree, opening: str, separator: str, closing: str, leaf: Callable[[str], str]
-) -> str:
-    """Write a node as opening, left, separator, right, closing, and a leaf as leaf(symbol)."""
-    # One walk with an explicit stack of pending subtrees and punctuation,
-    # so no tree depth can exhaust the interpreter's recursion limit.
-    out: list[str] = []
-    stack: list[MagmaTree | str] = [tree]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Node):
-            out.append(opening)
-            stack += (closing, item.right, separator, item.left)
-        else:
-            out.append(leaf(_symbol(item)))
-    return "".join(out)
+def _write_json(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[int]) -> str:
+    """The JSON text json.dumps gives for nested {"l": ..., "r": ...} and {"leaf": ...}."""
+    leaf = {s: '{"leaf": ' + json.dumps(s) + "}" for s in set(symbols)}
+    return _write([leaf[s] for s in symbols], opens, closes, '{"l": ', ', "r": ', "}")
+
+
+def _write_dot(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[int]) -> str:
+    """render_dot's text from a bracket form.  Leaf i follows its opens[i]
+    nodes in pre-order.  After its closes[i] nodes complete, the open node
+    on top has a complete left subtree: its right child enters next, and its
+    label, the left foliage, is the first i + 1 letters."""
+    escaped = [s.replace("\\", "\\\\").replace('"', '\\"') for s in symbols]
+    text = "".join(escaped)
+    spans: list[tuple[int, int]] = []  # each label as a slice of text
+    right: list[int] = []  # pre-order id of the right child; -1 for a leaf
+    stack: list[int] = []  # ids of the nodes entered and not yet complete
+    end = 0
+    for symbol, o, c in zip(escaped, opens, closes):
+        stack += range(len(spans), len(spans) + o)
+        spans += [(0, 0)] * o + [(end, end + len(symbol))]
+        right += [-1] * (o + 1)
+        end += len(symbol)
+        del stack[len(stack) - c:]
+        if stack:
+            spans[stack[-1]] = (0, end)
+            right[stack[-1]] = len(spans)
+    lines = [f'  n{me} [label="{text[start:stop]}"];' for me, (start, stop) in enumerate(spans)]
+    lines += [f"  n{me} -> n{me + 1};\n  n{me} -> n{c};" for me, c in enumerate(right) if c >= 0]
+    return "\n".join(["digraph {", *lines, "}"])
 
 
 def format_tree(tree: MagmaTree) -> str:
     """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
-    return _write_tree(tree, "(", ",", ")", str)
-
-
-def _tree_structured(tree: MagmaTree, alphabet: OrderedAlphabet) -> str:
-    """The JSON text json.dumps gives for nested {"l": ..., "r": ...} and {"leaf": ...}."""
-    leaves = {s: '{"leaf": ' + json.dumps(s) + "}" for s in alphabet.symbols}
-    return _write_tree(tree, '{"l": ', ', "r": ', "}", leaves.__getitem__)
+    return _write(*_brackets(tree)[:3])
 
 
 def parse_tree(text: str, alphabet: OrderedAlphabet) -> MagmaTree:
@@ -359,33 +392,4 @@ def render_dot(tree: MagmaTree) -> str:
     Internal nodes are labeled with their left foliage, leaves with
     their letter, so the output is byte-stable for a given tree.
     """
-    # One pre-order walk.  Leaves arrive left to right, so when a node's
-    # right child comes up, the leaves seen so far are its left foliage.
-    spans: list[tuple[int, int]] = []  # each label as a slice of the foliage
-    right: list[int] = []  # pre-order id of the right child; -1 for a leaf
-    letters: list[str] = []
-    stack: list[tuple[MagmaTree, int]] = [(tree, -1)]
-    while stack:
-        node, parent = stack.pop()
-        me = len(spans)
-        if parent >= 0:
-            spans[parent] = (0, len(letters))
-            right[parent] = me
-        spans.append((len(letters), len(letters) + 1))
-        right.append(-1)
-        if isinstance(node, Leaf):
-            letters.append(_symbol(node))
-        else:
-            stack.append((node.right, me))
-            stack.append((node.left, -1))
-    text = "".join(letters)
-    lines = ["digraph {"]
-    for me, (start, stop) in enumerate(spans):
-        label = text[start:stop].replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  n{me} [label="{label}"];')
-    for me, child in enumerate(right):
-        if child >= 0:
-            lines.append(f"  n{me} -> n{me + 1};")
-            lines.append(f"  n{me} -> n{child};")
-    lines.append("}")
-    return "\n".join(lines)
+    return _write_dot(*_brackets(tree)[:3])

@@ -316,13 +316,18 @@ class TestTree:
         assert err == "not Lyndon: split " + "a" * 50_000 + "|" + "a" * 50_000 + " has u ≥ v\n"
 
     def test_divergence_exits_1(self, monkeypatch):
+        # Increasing labels make the left comb ((((a,a),b),a),b), not the left tree.
         monkeypatch.setattr(
-            "lyndonkit.cli.left_cartesian_tree",
-            lambda word: Leaf(word[:1]),
+            "lyndonkit.cli._cartesian_ranks",
+            lambda word: list(range(1, len(word))),
         )
         code, out, _ = run_cli(["tree", "aabab", "--kind", "left"])
         assert code == 1
         assert out.splitlines()[1] == "left == cartesian: different"
+        code, out, err = run_cli(["tree", "aabab", "--kind", "left", "--format", "structured"])
+        assert code == 1
+        assert json.loads(out) == nested_tree(left_lyndon_tree(make_word("aabab", BINARY)))
+        assert err == "left and cartesian trees differ\n"
 
 
 class TestTreeText:
@@ -566,6 +571,31 @@ class TestVerify:
     def test_max_len_required(self):
         code, _, _ = run_cli(["verify"])
         assert code == 2
+
+
+class TestExitCodes:
+    """0 success, 1 a failed cross-check, 2 bad input, 3 a fault inside lyndonkit."""
+
+    def test_success_is_0(self):
+        code, _, err = run_cli(["tree", "aab", "--format", "structured"])
+        assert (code, err) == (0, "")
+
+    def test_failed_cross_check_is_1(self, monkeypatch):
+        monkeypatch.setattr("lyndonkit.cli._left_ranks", lambda word: list(range(1, len(word))))
+        code, _, err = run_cli(["tree", "aabab", "--kind", "cartesian", "--format", "dot"])
+        assert (code, err) == (1, "left and cartesian trees differ\n")
+
+    def test_bad_input_is_2(self):
+        assert run_cli(["pstd", "abx", "--alphabet", "ab"])[0] == 2
+
+    def test_internal_error_is_3(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("broken handler")
+
+        # main keeps its parser, so drop it for one built with the broken handler.
+        monkeypatch.setattr("lyndonkit.cli._parser", None)
+        monkeypatch.setattr("lyndonkit.cli.cmd_pstd", broken)
+        assert run_cli(["pstd", "ab"]) == (3, "", "internal error: RuntimeError: broken handler\n")
 
 
 class TestUsage:

@@ -9,10 +9,16 @@ the right tree is checked on words of up to 500 letters whose blocks have
 long Duval factorizations.
 The end factors are checked against the oracle's prefix and suffix scans,
 and the extension comparison and word encoding on 16,000-letter inputs.
+Every kind and format of the ``tree`` command, which writes from bracket
+counts and makes no ``Node``, is checked against explicit-stack writers of
+the builders' trees.
 """
 
+import io
 import itertools
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from functools import cmp_to_key
 
 import pytest
@@ -53,6 +59,9 @@ from lyndonkit import (
     right_standard_factorization,
     subtree_at,
 )
+from lyndonkit.cartesian import _cartesian_ranks
+from lyndonkit.cli import main
+from lyndonkit.trees import _bracket_counts, _complete, _left_ranks, _right_ranks
 
 from .strategies import BINARY, TERNARY, words
 
@@ -161,14 +170,13 @@ def right_tree_by_smallest_suffix(w: Word):
 def dot_by_addresses(tree) -> str:
     """DOT rendering that resolves every node by address from the root."""
     order = []
-
-    def visit(node, address):
+    stack = [(tree, "")]
+    while stack:
+        node, address = stack.pop()
         order.append(address)
         if isinstance(node, Node):
-            visit(node.left, address + "L")
-            visit(node.right, address + "R")
-
-    visit(tree, "")
+            stack.append((node.right, address + "R"))
+            stack.append((node.left, address + "L"))
     ids = {address: f"n{k}" for k, address in enumerate(order)}
     lines = ["digraph {"]
     for address in order:
@@ -312,6 +320,144 @@ class TestRightSpine:
     def test_matches_smallest_suffix_splits(self, w):
         assert is_lyndon(w)
         assert right_lyndon_tree(w) == right_tree_by_smallest_suffix(w)
+
+
+def write_by_stack(tree, opening: str, separator: str, closing: str, leaf) -> str:
+    """A node as opening, left, separator, right, closing, and a leaf as leaf(letter text)."""
+    out = []
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Node):
+            out.append(opening)
+            stack += (closing, item.right, separator, item.left)
+        else:
+            out.append(leaf(item.letter.text()))
+    return "".join(out)
+
+
+def text_by_stack(tree) -> str:
+    return write_by_stack(tree, "(", ",", ")", str)
+
+
+def json_by_stack(tree) -> str:
+    return write_by_stack(tree, '{"l": ', ', "r": ', "}", lambda s: json.dumps({"leaf": s}))
+
+
+BUILDERS = {"left": left_lyndon_tree, "right": right_lyndon_tree, "cartesian": left_cartesian_tree}
+
+
+def expected_tree_output(w: Word, kind: str, fmt: str, dots: dict) -> str:
+    """What `tree` prints; dots keeps each distinct tree's DOT text."""
+    tree = BUILDERS[kind](w)
+    if fmt == "dot":
+        if tree not in dots:
+            dots[tree] = dot_by_addresses(tree) + "\n"
+        return dots[tree]
+    if fmt == "structured":
+        return json_by_stack(tree) + "\n"
+    note = "" if kind == "right" else "left == cartesian: equal\n"
+    return text_by_stack(tree) + "\n" + note
+
+
+def run_tree(w: Word, kind: str, fmt: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["tree", w.text(), "--kind", kind, "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
+
+
+def long_tree_words():
+    """Lyndon words of up to 2,000 letters from the benchmark's families and (a^k b)^m b.
+
+    The DOT reference resolves each node from the root, Θ(n²) steps, so only
+    the comb, the deepest tree, takes the full 2,000 letters.
+    """
+    rng = random.Random(14)
+    return {
+        "comb-2000": comb(2000),
+        "reversed-comb-1000": reversed_comb(1000),
+        "christoffel-377-233": christoffel(377, 233),
+        "(a^30b)^30b": Word(BINARY, ((0,) * 30 + (1,)) * 30 + (1,)),
+        "random-ab-1000": random_lyndon(rng, 1000, BINARY),
+        "random-abc-500": random_lyndon(rng, 500, TERNARY),
+    }
+
+
+class TestTreeCommand:
+    """`tree` writes every kind and format from bracket counts, with no Node."""
+
+    KINDS = ("left", "right", "cartesian")
+    FORMATS = ("text", "structured", "dot")
+
+    @pytest.mark.parametrize("alphabet, max_len", [(BINARY, 12), (TERNARY, 7)], ids=["ab", "abc"])
+    def test_every_lyndon_word(self, alphabet, max_len):
+        for w in all_lyndon_words(alphabet, max_len):
+            for kind in self.KINDS:
+                for fmt in self.FORMATS:
+                    expected = expected_tree_output(w, kind, fmt, {})
+                    assert run_tree(w, kind, fmt) == (0, expected, ""), (w, kind, fmt)
+
+    @pytest.mark.parametrize("w", [pytest.param(w, id=k) for k, w in long_tree_words().items()])
+    def test_long_words(self, w):
+        assert is_lyndon(w)
+        dots = {}
+        for kind in self.KINDS:
+            for fmt in self.FORMATS:
+                expected = expected_tree_output(w, kind, fmt, dots)
+                assert run_tree(w, kind, fmt) == (0, expected, ""), (kind, fmt)
+
+    def test_bracket_equality_matches_node_equality(self):
+        # The left and right trees of one word: equal on a few words only.
+        outcomes = set()
+        for alphabet, max_len in ((BINARY, 10), (TERNARY, 6)):
+            for w in all_lyndon_words(alphabet, max_len):
+                left, right = left_lyndon_tree(w), right_lyndon_tree(w)
+                same = walk(left) == walk(right)
+                assert (left == right) == same, w
+                assert (_bracket_counts(_left_ranks(w)) == _bracket_counts(_right_ranks(w))) == same
+                assert _bracket_counts(_left_ranks(w)) == _bracket_counts(_cartesian_ranks(w)), w
+                outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_no_node_is_made(self, monkeypatch):
+        words = [comb(50), christoffel(21, 13), Word(TERNARY, (0, 0, 1, 0, 0, 2, 0, 1)), comb(1)]
+        expected = {
+            (w, kind, fmt): expected_tree_output(w, kind, fmt, {})
+            for w in words for kind in self.KINDS for fmt in self.FORMATS
+        }
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("tree made a Node")
+
+        monkeypatch.setattr(Node, "__init__", refuse)
+        for (w, kind, fmt), out in expected.items():
+            assert run_tree(w, kind, fmt) == (0, out, ""), (w, kind, fmt)
+
+
+class TestDeepCombTree:
+    """Equality, hashing and repr of a 100,000-leaf tree, made without the quadratic builder."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("labels", ["decreasing", "increasing"])
+    def test_no_recursion(self, labels):
+        # Decreasing labels give the right comb (a,(a,...(a,b))), increasing
+        # ones the left comb (((a,a),...,a),b).
+        cuts = range(self.N - 1, 0, -1) if labels == "decreasing" else range(1, self.N)
+        w = comb(self.N)
+        tree, twin = _complete(list(cuts), w), _complete(list(cuts), w)
+        assert tree is not twin and tree == twin and hash(tree) == hash(twin)
+        assert tree != _complete(list(cuts), reversed_comb(self.N))
+        a, b = "Leaf(letter=Word('a'))", "Leaf(letter=Word('b'))"
+        if labels == "decreasing":
+            expect = f"Node(left={a}, right=" * (self.N - 1) + b + ")" * (self.N - 1)
+        else:
+            expect = "Node(left=" * (self.N - 1) + a + f", right={a})" * (self.N - 2)
+            expect += f", right={b})"
+        assert repr(tree) == expect
 
 
 def check_end_factors(w: Word) -> None:
