@@ -16,12 +16,7 @@ import sys
 
 from .cartesian import _cartesian_ranks, _z_array, prefix_standard_permutation
 from .errors import LyndonKitError
-from .lyndon import (
-    first_lyndon_factor,
-    is_lyndon,
-    last_lyndon_factor,
-    lyndon_factorization,
-)
+from .lyndon import _duval_cuts, first_lyndon_factor, is_lyndon, last_lyndon_factor
 from .omega import omega_cmp, six_conditions
 from .oracle import CHECK_NAMES, verify_word
 from .trees import _bracket_counts, _left_ranks, _right_ranks, _write, _write_dot, _write_json
@@ -81,10 +76,12 @@ def cmd_factorize(args) -> int:
     text = args.w
     alphabet = _alphabet_for(args.alphabet, text)
     w = make_word(text, alphabet)
-    factorization = lyndon_factorization(w)
+    n = len(w.letters)
+    cuts = _duval_cuts(w.letters, 0, n)
     first = first_lyndon_factor(w)
     last = last_lyndon_factor(w)
-    if first != factorization.factors[0] or last != factorization.factors[-1]:
+    # The end factors are a prefix and a suffix of w, so equal lengths mean equal factors.
+    if len(first.letters) != cuts[1] or len(last.letters) != n - cuts[-2]:
         print(
             f"cross-check failed on {text!r}: "
             f"ends {first.text()},{last.text()} vs factorization",
@@ -92,12 +89,11 @@ def cmd_factorize(args) -> int:
         )
         return 1
     # The factors tile w, so each one's text is a slice of the input.
-    cuts = list(itertools.accumulate((len(f) for f in factorization.factors), initial=0))
     factors = [text[a:b] for a, b in zip(cuts, cuts[1:])]
     if args.format == "structured":
         print(json.dumps({"factors": factors, "first": factors[0], "last": factors[-1]}))
         return 0
-    print("".join(f"({f})" for f in factors))
+    print(f"({')('.join(factors)})")
     print(f"first: {factors[0]}")
     print(f"last: {factors[-1]}")
     return 0

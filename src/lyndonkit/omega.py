@@ -63,58 +63,62 @@ class SixConditions(NamedTuple):
         return all(self) or not any(self)
 
 
+# Bound once: the sweep's many calls load a global far faster than an enum member.
+_LESS, _EQUAL, _GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
+
 # Results are immutable, so every comparison decided by the first letters
 # can return one of these two.
-_LESS_AT_FIRST = OmegaComparison(Ordering.LESS, 1, None)
-_GREATER_AT_FIRST = OmegaComparison(Ordering.GREATER, 1, None)
+_LESS_AT_FIRST = OmegaComparison(_LESS, 1, None)
+_GREATER_AT_FIRST = OmegaComparison(_GREATER, 1, None)
 
 
-def _first_difference(a: tuple[int, ...], b: tuple[int, ...], n: int) -> int | None:
-    """Index of the first letter where a[:n] and b[:n] differ, None if they agree.
+def _first_difference(
+    a: tuple[int, ...], i: int, b: tuple[int, ...], j: int, n: int, lo: int = 0
+) -> int | None:
+    """First offset k < n with a[i + k] != b[j + k], None if there is none.
 
-    Both a and b hold at least n letters.  After the first letter, gallops
-    over windows [lo, 2 lo) of doubling length, then bisects the window that
-    holds the difference.  Every comparison is one tuple slice comparison,
-    so an early difference costs O(1) interpreter steps and a late one
-    O(log n).
+    The letters before offset lo are known to agree.  Gallops over windows
+    of doubling length, clamped at n, then bisects the window that holds
+    the difference.  Every comparison is one comparison of two tuple
+    slices no longer than the window, so an early difference costs O(1)
+    interpreter steps and a late one O(log n).
     """
-    if a[0] != b[0]:
-        return 0
-    lo, hi = 1, 2
-    while a[lo:hi] == b[lo:hi]:
-        if hi >= n:
-            return None
-        lo, hi = hi, 2 * hi
-    # a[:lo] == b[:lo] and a[lo:hi] != b[lo:hi], where a window past the
-    # end of the shorter word differs in length.  The difference found may
-    # lie past n.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo < n else None
+    width = 1
+    while lo < n:
+        hi = lo + width
+        if hi > n:
+            hi = n
+        if a[i + lo:i + hi] != b[j + lo:j + hi]:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if a[i + lo:i + mid] == b[j + lo:j + mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+        lo = hi
+        width *= 2
+    return None
 
 
 def _concatenation_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
     """First index where a + b and b + a differ, None when a + b == b + a.
 
-    Neither concatenation is built, and the index is the same with a and b
-    swapped.  With p = |a| <= q = |b|, the two read a against b[:p], then
-    b[:q - p] against b[p:], then b[q - p:] against a, so the scans copy at
-    most q letters besides their windows.
+    a[0] == b[0] is known.  Neither concatenation is built, and the index
+    is the same with a and b swapped.  With p = |a| <= q = |b|, the two
+    read a against b[:p], then b[:q - p] against b[p:], then b[q - p:]
+    against a; each part compares windows at offsets into a and b.
     """
     p, q = len(a), len(b)
     if p > q:
         a, b, p, q = b, a, q, p
-    i = _first_difference(a, b, p)
+    i = _first_difference(a, 0, b, 0, p, 1)
     if i is not None or p == q:
         return i
-    i = _first_difference(b, b[p:], q - p)
+    i = _first_difference(b, 0, b, p, q - p)
     if i is not None:
         return p + i
-    i = _first_difference(b[q - p:], a, p)
+    i = _first_difference(b, q - p, a, 0, p)
     return None if i is None else q + i
 
 
@@ -141,11 +145,11 @@ def omega_cmp(u: Word, v: Word) -> OmegaComparison:
         p, q = len(a), len(b)
         x = a[i] if i < p else b[i - p]
         y = b[i] if i < q else a[i - q]
-        outcome = Ordering.LESS if x < y else Ordering.GREATER
+        outcome = _LESS if x < y else _GREATER
         return OmegaComparison(outcome, i + 1, None)
     # uv = vu: both are powers of their common prefix of gcd length.
     root, _ = primitive_root(Word._make(u.alphabet, a[:gcd(len(a), len(b))]))
-    return OmegaComparison(Ordering.EQUAL, None, root)
+    return OmegaComparison(_EQUAL, None, root)
 
 
 def omega_mismatch_position(u: Word, v: Word) -> int | None:
@@ -160,13 +164,13 @@ def comparison_within_first_factor(u: Word, v: Word) -> bool:
     holds exactly when v is not a fractional power of u.
     """
     cmp = omega_cmp(u, v)
-    if cmp.outcome is Ordering.EQUAL:
+    if cmp.outcome is _EQUAL:
         raise OmegaEqual("the extensions coincide, no comparison position exists")
     return cmp.mismatch_position <= len(v.letters)
 
 
 def _omega_less(a: Word, b: Word) -> bool:
-    return omega_cmp(a, b).outcome is Ordering.LESS
+    return omega_cmp(a, b).outcome is _LESS
 
 
 def six_conditions(u: Word, v: Word) -> SixConditions:
@@ -190,7 +194,7 @@ def bergman_chain(u: Word, v: Word) -> bool:
 
     Raises PreconditionFailed unless the extensions of u and v compare Less.
     """
-    if omega_cmp(u, v).outcome is not Ordering.LESS:
+    if omega_cmp(u, v).outcome is not _LESS:
         raise PreconditionFailed("the chain is stated for u strictly below v")
     uv = u + v
     vu = v + u

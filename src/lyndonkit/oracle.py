@@ -63,6 +63,10 @@ __all__ = [
 ]
 
 
+# Bound once: the sweep's many calls load a global far faster than an enum member.
+_LESS, _EQUAL, _GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
+
+
 def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
     """Materialize both extensions out to |u| + |v| letters and scan.
 
@@ -84,10 +88,10 @@ def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
         i = 0
         while ea[i] == eb[i]:
             i += 1
-        outcome = Ordering.LESS if ea[i] < eb[i] else Ordering.GREATER
+        outcome = _LESS if ea[i] < eb[i] else _GREATER
         return OmegaComparison(outcome, i + 1, None)
     assert a + b == b + a
-    return OmegaComparison(Ordering.EQUAL, None, _common_root(u, v))
+    return OmegaComparison(_EQUAL, None, _common_root(u, v))
 
 
 def _common_root(u: Word, v: Word) -> Word:
@@ -125,17 +129,13 @@ def is_lyndon_via_rotations(w: Word) -> bool:
 def is_lyndon_suffix_omega(w: Word) -> bool:
     """Extension-order test over splits w = uv: w^ω below v^ω for every split."""
     ensure_nonempty(w)
-    return all(
-        omega_cmp(w, v).outcome is Ordering.LESS for _, v in nontrivial_splits(w)
-    )
+    return all(omega_cmp(w, v).outcome is _LESS for _, v in nontrivial_splits(w))
 
 
 def is_lyndon_prefix_omega(w: Word) -> bool:
     """Extension-order test over prefixes: every nontrivial proper prefix is below w."""
     ensure_nonempty(w)
-    return all(
-        omega_cmp(w[:i], w).outcome is Ordering.LESS for i in range(1, len(w.letters))
-    )
+    return all(omega_cmp(w[:i], w).outcome is _LESS for i in range(1, len(w.letters)))
 
 
 def lyndon_factorization_naive(w: Word) -> LyndonFactorization:
@@ -178,12 +178,12 @@ def first_lyndon_factor_naive(w: Word) -> tuple[Word, Word]:
     ensure_nonempty(w)
     n = len(w.letters)
     against_whole = next(
-        w[:i] for i in range(1, n + 1) if omega_cmp(w[:i], w).outcome is not Ordering.LESS
+        w[:i] for i in range(1, n + 1) if omega_cmp(w[:i], w).outcome is not _LESS
     )
     against_rest = next(
         w[:i]
         for i in range(1, n + 1)
-        if i == n or omega_cmp(w[:i], w[i:]).outcome is not Ordering.LESS
+        if i == n or omega_cmp(w[:i], w[i:]).outcome is not _LESS
     )
     return against_whole, against_rest
 
@@ -195,9 +195,7 @@ def last_lyndon_factor_naive(w: Word) -> Word:
     for start in range(1, len(w.letters)):
         s = w[start:]
         c = omega_cmp(s, best)
-        if c.outcome is Ordering.LESS or (
-            c.outcome is Ordering.EQUAL and len(s.letters) < len(best.letters)
-        ):
+        if c.outcome is _LESS or (c.outcome is _EQUAL and len(s.letters) < len(best.letters)):
             best = s
     return best
 
@@ -237,7 +235,7 @@ def left_cartesian_tree_via_prefixes(w: Word) -> MagmaTree:
             return Leaf(w[lo - 1:lo])
         top = lo
         for length in range(lo + 1, hi + 1):
-            if prec_cmp(w[:length], w[:top]) is Ordering.GREATER:
+            if prec_cmp(w[:length], w[:top]) is _GREATER:
                 top = length
         return Node(build(lo, top - 1), build(top + 1, hi))
 
@@ -295,7 +293,7 @@ def _check_lyndon_definitions(w: Word):
 def _check_suffix_conditions(w: Word):
     # Two forms over the splits w = uv: w^ω < v^ω (the library's) and u^ω < v^ω.
     whole = is_lyndon_suffix_omega(w)
-    parts = all(omega_cmp(u, v).outcome is Ordering.LESS for u, v in nontrivial_splits(w))
+    parts = all(omega_cmp(u, v).outcome is _LESS for u, v in nontrivial_splits(w))
     if whole != parts:
         return f"suffix extension forms disagree: w^ω < v^ω {whole}, u^ω < v^ω {parts}"
     if whole != is_lyndon(w):
@@ -310,7 +308,7 @@ def _check_prefix_condition(w: Word):
 def _check_six_equivalence(w: Word):
     for u, v in nontrivial_splits(w):
         six = six_conditions(u, v)
-        if omega_cmp(u, v).outcome is Ordering.EQUAL:
+        if omega_cmp(u, v).outcome is _EQUAL:
             if any(six):
                 return f"split {u}|{v}: equal extensions but {six}"
         elif not six.all_equal():
@@ -319,7 +317,7 @@ def _check_six_equivalence(w: Word):
 
 def _check_bergman(w: Word):
     for u, v in nontrivial_splits(w):
-        if omega_cmp(u, v).outcome is Ordering.LESS and not bergman_chain(u, v):
+        if omega_cmp(u, v).outcome is _LESS and not bergman_chain(u, v):
             return f"split {u}|{v}: chain violated"
 
 
@@ -330,9 +328,9 @@ def _check_factorization(w: Word):
     if not all(is_lyndon(f) for f in fact.factors):
         return "non-Lyndon factor"
     for a, b in zip(fact.factors, fact.factors[1:]):
-        if lex_cmp(a, b) is Ordering.LESS:
+        if lex_cmp(a, b) is _LESS:
             return f"factors increase: {a} then {b}"
-        if omega_cmp(a, b).outcome is Ordering.LESS:
+        if omega_cmp(a, b).outcome is _LESS:
             return f"extensions increase: {a} then {b}"
     naive = lyndon_factorization_naive(w)
     if fact.factors != naive.factors:
@@ -362,7 +360,7 @@ def _check_first_dominates_rest(w: Word):
     factors = lyndon_factorization(w).factors
     if len(factors) >= 2:
         rest = _join(factors[1:])
-        if omega_cmp(factors[0], rest).outcome is Ordering.LESS:
+        if omega_cmp(factors[0], rest).outcome is _LESS:
             return f"head {factors[0]} sits below the rest {rest}"
 
 
@@ -370,11 +368,11 @@ def _check_left_factorization(w: Word):
     u, v = left_standard_factorization(w)
     if not (is_lyndon(u) and is_lyndon(v)):
         return f"parts {u}|{v} are not both Lyndon"
-    if lex_cmp(u, v) is not Ordering.LESS:
+    if lex_cmp(u, v) is not _LESS:
         return f"{u} is not below {v}"
     if len(v.letters) >= 2:
         v1, _ = left_standard_factorization(v)
-        if lex_cmp(v1, u) is Ordering.GREATER:
+        if lex_cmp(v1, u) is _GREATER:
             return f"head {v1} of the right part exceeds {u}"
         if v1.letters != u.letters[:len(v1.letters)]:
             return f"head {v1} of the right part is not a prefix of {u}"
@@ -416,11 +414,11 @@ def _check_left_subtrees_order(w: Word):
         if len(last.letters) >= 2:
             head, _ = left_standard_factorization(last)
             clipped = _join(ells[:-1] + [head])
-            if omega_cmp(clipped, whole).outcome is not Ordering.LESS:
+            if omega_cmp(clipped, whole).outcome is not _LESS:
                 return f"node {addr or 'root'}: clipping the tail did not shrink it"
         if len(ells) >= 2:
             shorter = _join(ells[:-1])
-            if omega_cmp(whole, shorter).outcome is Ordering.GREATER:
+            if omega_cmp(whole, shorter).outcome is _GREATER:
                 return f"node {addr or 'root'}: dropping the tail shrank it"
 
 
@@ -433,7 +431,7 @@ def _check_left_foliage_decreasing(w: Word):
             if isinstance(child, Node):
                 down = left_foliage(t, addr + step)
                 here = left_foliage(t, addr)
-                if prec_cmp(down, here) is not Ordering.LESS:
+                if prec_cmp(down, here) is not _LESS:
                     return f"label at {addr + step} is not below {addr or 'root'}"
 
 

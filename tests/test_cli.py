@@ -170,6 +170,12 @@ class TestFactorize:
         assert out == ""
         assert "cross-check failed" in err
 
+    def test_last_factor_cross_check_failure_exits_1(self, monkeypatch):
+        monkeypatch.setattr("lyndonkit.cli.last_lyndon_factor", lambda word: word[1:])
+        code, out, err = run_cli(["factorize", "ababaab", "--format", "structured"])
+        assert (code, out) == (1, "")
+        assert err == "cross-check failed on 'ababaab': ends ab,babaab vs factorization\n"
+
 
 class TestPstd:
     def test_golden(self):

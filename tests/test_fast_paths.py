@@ -11,7 +11,10 @@ The end factors are checked against the oracle's prefix and suffix scans,
 and the extension comparison and word encoding on 16,000-letter inputs.
 Every kind and format of the ``tree`` command, which writes from bracket
 counts and makes no ``Node``, is checked against explicit-stack writers of
-the builders' trees.
+the builders' trees, and ``factorize``, which prints from Duval's cuts,
+against the library's factorization.  The extension comparison is checked
+on pairs whose lengths and changed letters sit at its phase and window
+boundaries.
 """
 
 import io
@@ -20,6 +23,7 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cmp_to_key
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -47,6 +51,7 @@ from lyndonkit import (
     left_lyndon_tree,
     left_lyndon_tree_naive,
     left_standard_factorization,
+    lyndon_factorization,
     make_word,
     omega_cmp,
     omega_cmp_naive,
@@ -460,6 +465,63 @@ class TestDeepCombTree:
         assert repr(tree) == expect
 
 
+def run_factorize(w: Word, fmt: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["factorize", w.text(), "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
+
+
+def expected_factorize_output(w: Word, fmt: str) -> str:
+    """What `factorize` prints: the factors of lyndon_factorization, as text."""
+    factors = [f.text() for f in lyndon_factorization(w)]
+    if fmt == "structured":
+        return json.dumps({"factors": factors, "first": factors[0], "last": factors[-1]}) + "\n"
+    return "".join(f"({f})" for f in factors) + f"\nfirst: {factors[0]}\nlast: {factors[-1]}\n"
+
+
+def long_factorize_words():
+    rng = random.Random(15)
+    return {
+        "b-a^1999": Word(BINARY, (1,) + (0,) * 1999),
+        "(ab)^1000": Word(BINARY, (0, 1) * 1000),
+        "random-2000": Word(BINARY, [rng.randrange(2) for _ in range(2000)]),
+    }
+
+
+class TestFactorizeCommand:
+    """`factorize` prints the library's factorization, read from Duval's cuts."""
+
+    FORMATS = ("text", "structured")
+
+    @pytest.mark.parametrize("alphabet, max_len", [(BINARY, 12), (TERNARY, 7)], ids=["ab", "abc"])
+    def test_every_word(self, alphabet, max_len):
+        for w in all_words(alphabet, max_len):
+            for fmt in self.FORMATS:
+                assert run_factorize(w, fmt) == (0, expected_factorize_output(w, fmt), ""), (w, fmt)
+
+    @pytest.mark.parametrize("w", [pytest.param(w, id=k) for k, w in long_factorize_words().items()])
+    def test_long_words(self, w):
+        for fmt in self.FORMATS:
+            assert run_factorize(w, fmt) == (0, expected_factorize_output(w, fmt), ""), fmt
+
+    def test_no_word_per_factor(self, monkeypatch):
+        # b a^1999 has 2,000 factors; at most the input and its two end
+        # factors are made as words.
+        w = long_factorize_words()["b-a^1999"]
+        expected = expected_factorize_output(w, "text")
+        made = []
+        make = Word._make
+
+        def counting(cls, alphabet, letters):
+            made.append(len(letters))
+            return make(alphabet, letters)
+
+        monkeypatch.setattr(Word, "_make", classmethod(counting))
+        assert run_factorize(w, "text") == (0, expected, "")
+        assert len(made) <= 3
+
+
 def check_end_factors(w: Word) -> None:
     against_whole, against_rest = first_lyndon_factor_naive(w)
     assert first_lyndon_factor(w) == against_whole == against_rest, w
@@ -521,6 +583,32 @@ def root_length_brute(ls: tuple[int, ...]) -> int:
     return next(d for d in range(1, n + 1) if n % d == 0 and all(ls[i] == ls[i % d] for i in range(n)))
 
 
+# 2^k - 1, 2^k and 2^k + 1 up to 2,049: lengths on both sides of every
+# gallop window size.
+PHASE_LENGTHS = sorted({n for k in range(1, 12) for n in (2**k - 1, 2**k, 2**k + 1)})
+
+
+def boundary_changes(a: tuple[int, ...], b: tuple[int, ...]):
+    """a and b, then a or b with one letter changed at a phase or window boundary.
+
+    With p = |a| <= q = |b|, the indices 1, p - 1, p, q - p, q and the
+    Fine and Wilf bound p + q - gcd(p, q) - 1 are taken in ab and in ba,
+    and the letter there is changed in whichever word holds it.
+    """
+    p, q = len(a), len(b)
+    yield a, b
+    for m in {1, p - 1, p, q - p, q, p + q - gcd(p, q) - 1}:
+        for x, y, swap in ((a, b, False), (b, a, True)):
+            if not 0 <= m < p + q:
+                continue
+            if m < len(x):
+                x = x[:m] + (1 - x[m],) + x[m + 1:]
+            else:
+                k = m - len(x)
+                y = y[:k] + (1 - y[k],) + y[k + 1:]
+            yield (y, x) if swap else (x, y)
+
+
 class TestLongComparisons:
     """omega_cmp on 100 to 2,000 letters, where it compares uv with vu without building them."""
 
@@ -528,6 +616,25 @@ class TestLongComparisons:
         u, v = Word(BINARY, a), Word(BINARY, b)
         for x, y in ((u, v), (v, u)):
             assert omega_cmp(x, y) == omega_cmp_naive(x, y)
+
+    @pytest.mark.parametrize("p", PHASE_LENGTHS)
+    def test_phase_boundaries(self, p):
+        # u = x[:p] and v = x[:q] for a word x of period 5: the shorter is
+        # a prefix of the longer, and where 5 divides p the scan reaches the
+        # third phase.
+        x = (0, 1, 1, 0, 1) * 410
+        for q in PHASE_LENGTHS[PHASE_LENGTHS.index(p):]:
+            for a, b in boundary_changes(x[:p], x[:q]):
+                self.check(a, b)
+
+    @pytest.mark.parametrize("root", [(0,), (0, 1), (0, 0, 1)], ids=["a", "ab", "aab"])
+    def test_powers_at_phase_lengths(self, root):
+        # Powers of one root with p != q: equal extensions, read to the end
+        # of every phase, until one letter is changed.
+        lengths = [n for n in PHASE_LENGTHS if n % len(root) == 0]
+        for p, q in itertools.combinations(lengths, 2):
+            for a, b in boundary_changes(root * (p // len(root)), root * (q // len(root))):
+                self.check(a, b)
 
     @given(st.integers(100, 2000), st.booleans(), st.randoms(use_true_random=False))
     def test_equal_length_mismatch(self, n, late, rng):
