@@ -72,18 +72,29 @@ _LESS_AT_FIRST = OmegaComparison(_LESS, 1, None)
 _GREATER_AT_FIRST = OmegaComparison(_GREATER, 1, None)
 
 
+# Offsets compared letter by letter before _first_difference gallops.
+_HEAD = 8
+
+
 def _first_difference(
     a: tuple[int, ...], i: int, b: tuple[int, ...], j: int, n: int, lo: int = 0
 ) -> int | None:
     """First offset k < n with a[i + k] != b[j + k], None if there is none.
 
-    The letters before offset lo are known to agree.  Gallops over windows
-    of doubling length, clamped at n, then bisects the window that holds
-    the difference.  Every comparison is one comparison of two tuple
-    slices no longer than the window, so an early difference costs O(1)
-    interpreter steps and a late one O(log n).
+    The letters before offset lo are known to agree.  Offsets below 8
+    (_HEAD) are compared one letter at a time by index, since most words
+    that differ at all differ early, and a slice costs more than a few
+    index lookups.  From there the scan gallops over windows of doubling
+    length, clamped at n, then bisects the window that holds the
+    difference: each step compares two tuple slices no longer than the
+    window, so a late difference costs O(log n) interpreter steps.
     """
-    width = 1
+    head = n if n < _HEAD else _HEAD
+    while lo < head:
+        if a[i + lo] != b[j + lo]:
+            return lo
+        lo += 1
+    width = _HEAD
     while lo < n:
         hi = lo + width
         if hi > n:

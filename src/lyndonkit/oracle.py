@@ -10,6 +10,7 @@ inputs stay desk sized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cartesian import left_cartesian_tree, prec_cmp
 from .errors import NotLyndon, UniquenessViolation
@@ -33,7 +34,6 @@ from .trees import (
     left_subtrees_sequence,
     right_lyndon_tree,
     right_standard_factorization,
-    subtree_at,
 )
 from .words import (
     Ordering,
@@ -72,8 +72,9 @@ def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
 
     The two prefixes are tested for equality first; unequal ones are
     scanned letter by letter for the first mismatch.  Equal ones mean equal
-    extensions (Fine and Wilf), checked against uv = vu; the common root is
-    then found by trying prefixes of u from the shortest up.
+    extensions (Fine and Wilf); the common root is then found by trying
+    prefixes of u from the shortest up.  Finding none raises, and that
+    happens exactly when uv != vu (Lyndon and Schützenberger).
     """
     if u.alphabet is not v.alphabet:
         ensure_same_alphabet(u, v)
@@ -90,7 +91,6 @@ def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
             i += 1
         outcome = _LESS if ea[i] < eb[i] else _GREATER
         return OmegaComparison(outcome, i + 1, None)
-    assert a + b == b + a
     return OmegaComparison(_EQUAL, None, _common_root(u, v))
 
 
@@ -100,7 +100,7 @@ def _common_root(u: Word, v: Word) -> Word:
         root = a[:d]
         if _repeats_to(root, a) and _repeats_to(root, v.letters):
             return Word(u.alphabet, root)
-    raise AssertionError("unreachable: equal extensions share a root")
+    raise AssertionError(f"{u} and {v}: equal extensions but no common root, so uv != vu")
 
 
 def _repeats_to(root: tuple[int, ...], letters: tuple[int, ...]) -> bool:
@@ -269,6 +269,56 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+class _Facts:
+    """Fast-path results about one word, each computed on first use.
+
+    The checks of one word share them, so the left tree, Duval's
+    factorization and the split comparisons are each computed once per
+    word.  Only fast-path results live here: every oracle answer is
+    computed by the check that compares against it.
+    """
+
+    def __init__(self, w: Word) -> None:
+        self.word = w
+
+    @cached_property
+    def lyndon(self) -> bool:
+        return is_lyndon(self.word)
+
+    @cached_property
+    def factorization(self) -> LyndonFactorization:
+        return lyndon_factorization(self.word)
+
+    @cached_property
+    def splits(self) -> tuple[tuple[Word, Word, Ordering], ...]:
+        """Each split w = uv with the extension order of u against v."""
+        return tuple((u, v, omega_cmp(u, v).outcome) for u, v in nontrivial_splits(self.word))
+
+    @cached_property
+    def tree(self) -> MagmaTree:
+        return left_lyndon_tree(self.word)
+
+    @cached_property
+    def hanging(self) -> tuple[tuple[str, list[Word]], ...]:
+        """Each internal node's address, with the foliages of its left subtrees sequence."""
+        t = self.tree
+        return tuple(
+            (addr, [foliage(s) for s in left_subtrees_sequence(t, addr)])
+            for addr in internal_addresses(t)
+        )
+
+
+# The record of the word verify_word is checking.  A check looks it up by
+# the identity of its word, so a direct call on any other word gets a
+# fresh record of its own.
+_current: _Facts | None = None
+
+
+def _facts(w: Word) -> _Facts:
+    facts = _current
+    return facts if facts is not None and facts.word is w else _Facts(w)
+
+
 # Each check returns None when its claim holds on w, and otherwise a detail
 # naming the values that disagreed.
 
@@ -285,30 +335,31 @@ def _check_omega_agreement(w: Word):
 
 
 def _check_lyndon_definitions(w: Word):
-    flags = (is_lyndon(w), is_lyndon_via_suffixes(w), is_lyndon_via_rotations(w))
+    flags = (_facts(w).lyndon, is_lyndon_via_suffixes(w), is_lyndon_via_rotations(w))
     if len(set(flags)) != 1:
         return f"split conditions disagree: {flags}"
 
 
 def _check_suffix_conditions(w: Word):
     # Two forms over the splits w = uv: w^ω < v^ω (the library's) and u^ω < v^ω.
+    facts = _facts(w)
     whole = is_lyndon_suffix_omega(w)
-    parts = all(omega_cmp(u, v).outcome is _LESS for u, v in nontrivial_splits(w))
+    parts = all(outcome is _LESS for _, _, outcome in facts.splits)
     if whole != parts:
         return f"suffix extension forms disagree: w^ω < v^ω {whole}, u^ω < v^ω {parts}"
-    if whole != is_lyndon(w):
+    if whole != facts.lyndon:
         return "suffix extension test disagrees with the split test"
 
 
 def _check_prefix_condition(w: Word):
-    if is_lyndon_prefix_omega(w) != is_lyndon(w):
+    if is_lyndon_prefix_omega(w) != _facts(w).lyndon:
         return "prefix extension test disagrees with the split test"
 
 
 def _check_six_equivalence(w: Word):
-    for u, v in nontrivial_splits(w):
+    for u, v, outcome in _facts(w).splits:
         six = six_conditions(u, v)
-        if omega_cmp(u, v).outcome is _EQUAL:
+        if outcome is _EQUAL:
             if any(six):
                 return f"split {u}|{v}: equal extensions but {six}"
         elif not six.all_equal():
@@ -316,13 +367,13 @@ def _check_six_equivalence(w: Word):
 
 
 def _check_bergman(w: Word):
-    for u, v in nontrivial_splits(w):
-        if omega_cmp(u, v).outcome is _LESS and not bergman_chain(u, v):
+    for u, v, outcome in _facts(w).splits:
+        if outcome is _LESS and not bergman_chain(u, v):
             return f"split {u}|{v}: chain violated"
 
 
 def _check_factorization(w: Word):
-    fact = lyndon_factorization(w)
+    fact = _facts(w).factorization
     if fact.word != w:
         return "factors do not concatenate back to the word"
     if not all(is_lyndon(f) for f in fact.factors):
@@ -340,7 +391,7 @@ def _check_factorization(w: Word):
 def _check_first_factor(w: Word):
     fast = first_lyndon_factor(w)
     against_whole, against_rest = first_lyndon_factor_naive(w)
-    head = lyndon_factorization(w).factors[0]
+    head = _facts(w).factorization.factors[0]
     if not fast == against_whole == against_rest == head:
         return (
             f"first factor {fast}, prefix scans {against_whole} and {against_rest}, "
@@ -351,13 +402,13 @@ def _check_first_factor(w: Word):
 def _check_last_factor(w: Word):
     fast = last_lyndon_factor(w)
     scanned = last_lyndon_factor_naive(w)
-    tail = lyndon_factorization(w).factors[-1]
+    tail = _facts(w).factorization.factors[-1]
     if not fast == scanned == tail:
         return f"last factor {fast}, suffix scan {scanned}, final factor {tail}"
 
 
 def _check_first_dominates_rest(w: Word):
-    factors = lyndon_factorization(w).factors
+    factors = _facts(w).factorization.factors
     if len(factors) >= 2:
         rest = _join(factors[1:])
         if omega_cmp(factors[0], rest).outcome is _LESS:
@@ -385,9 +436,7 @@ def _check_right_factorization(w: Word):
 
 
 def _check_left_subtrees_chain(w: Word):
-    t = left_lyndon_tree(w)
-    for addr in internal_addresses(t):
-        ells = [foliage(s) for s in left_subtrees_sequence(t, addr)]
+    for addr, ells in _facts(w).hanging:
         if not all(is_lyndon(e) for e in ells):
             return f"node {addr or 'root'}: non-Lyndon hanging subtree"
         for a, b in zip(ells, ells[1:]):
@@ -396,19 +445,16 @@ def _check_left_subtrees_chain(w: Word):
 
 
 def _check_left_foliage_concatenation(w: Word):
-    t = left_lyndon_tree(w)
-    for addr in internal_addresses(t):
-        ells = [foliage(s) for s in left_subtrees_sequence(t, addr)]
+    facts = _facts(w)
+    for addr, ells in facts.hanging:
         # The leaves left of the node's right subtree: a prefix of w.
-        whole = left_foliage(t, addr)
+        whole = left_foliage(facts.tree, addr)
         if whole != _join(ells) or whole.letters != w.letters[:len(whole.letters)]:
             return f"node {addr or 'root'}: foliages do not concatenate to a prefix of the word"
 
 
 def _check_left_subtrees_order(w: Word):
-    t = left_lyndon_tree(w)
-    for addr in internal_addresses(t):
-        ells = [foliage(s) for s in left_subtrees_sequence(t, addr)]
+    for addr, ells in _facts(w).hanging:
         whole = _join(ells)
         last = ells[-1]
         if len(last.letters) >= 2:
@@ -423,22 +469,18 @@ def _check_left_subtrees_order(w: Word):
 
 
 def _check_left_foliage_decreasing(w: Word):
-    t = left_lyndon_tree(w)
-    for addr in internal_addresses(t):
-        node = subtree_at(t, addr)
+    facts = _facts(w)
+    labels = {addr: left_foliage(facts.tree, addr) for addr, _ in facts.hanging}
+    for addr, here in labels.items():
         for step in "LR":
-            child = node.left if step == "L" else node.right
-            if isinstance(child, Node):
-                down = left_foliage(t, addr + step)
-                here = left_foliage(t, addr)
-                if prec_cmp(down, here) is not _LESS:
-                    return f"label at {addr + step} is not below {addr or 'root'}"
+            down = labels.get(addr + step)
+            if down is not None and prec_cmp(down, here) is not _LESS:
+                return f"label at {addr + step} is not below {addr or 'root'}"
 
 
 def _check_trees_coincide(w: Word):
-    t = left_lyndon_tree(w)
     if not (
-        t
+        _facts(w).tree
         == left_cartesian_tree(w)
         == left_cartesian_tree_via_prefixes(w)
         == left_lyndon_tree_naive(w)
@@ -447,7 +489,7 @@ def _check_trees_coincide(w: Word):
 
 
 def _check_tree_foliage(w: Word):
-    if foliage(left_lyndon_tree(w)) != w:
+    if foliage(_facts(w).tree) != w:
         return "left tree foliage broke"
     if foliage(right_lyndon_tree(w)) != w:
         return "right tree foliage broke"
@@ -458,11 +500,11 @@ def _always(w: Word) -> bool:
 
 
 def _when_lyndon(w: Word) -> bool:
-    return is_lyndon(w)
+    return _facts(w).lyndon
 
 
 def _when_lyndon_composite(w: Word) -> bool:
-    return len(w.letters) >= 2 and is_lyndon(w)
+    return len(w.letters) >= 2 and _facts(w).lyndon
 
 
 _CHECKS = (
@@ -490,14 +532,23 @@ CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
 def verify_word(w: Word) -> VerificationReport:
-    """Run every applicable cross-check on one word; a check that raises fails."""
+    """Run every applicable cross-check on one word; a check that raises fails.
+
+    The checks share one record of the word's fast-path results, dropped
+    when the report is made, so nothing is kept from one word to the next.
+    """
+    global _current
     ensure_nonempty(w)
     results = []
-    for name, check, applies in _CHECKS:
-        if applies(w):
-            try:
-                detail = check(w)
-            except Exception as err:
-                detail = f"raised {type(err).__name__}: {err}"
-            results.append(CheckResult(name, detail is None, detail or ""))
+    _current = _Facts(w)
+    try:
+        for name, check, applies in _CHECKS:
+            if applies(w):
+                try:
+                    detail = check(w)
+                except Exception as err:
+                    detail = f"raised {type(err).__name__}: {err}"
+                results.append(CheckResult(name, detail is None, detail or ""))
+    finally:
+        _current = None
     return VerificationReport(w, tuple(results))

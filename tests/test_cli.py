@@ -48,6 +48,65 @@ def nested_tree(tree):
     return {"l": nested_tree(tree.left), "r": nested_tree(tree.right)}
 
 
+# verify's checks in output order: those run on every word, those run on
+# Lyndon words of two or more letters, and those run on every Lyndon word.
+ALWAYS_CHECKS = (
+    "omega-agreement",
+    "lyndon-definitions",
+    "lyndon-suffix-conditions",
+    "lyndon-prefix-condition",
+    "six-equivalence",
+    "bergman-chain",
+    "factorization",
+    "first-factor",
+    "last-factor",
+    "first-dominates-rest",
+)
+COMPOSITE_LYNDON_CHECKS = ("left-factorization", "right-factorization")
+LYNDON_CHECKS = (
+    "left-subtrees-chain",
+    "left-foliage-concatenation",
+    "left-subtrees-order",
+    "left-foliage-decreasing",
+    "trees-coincide",
+    "tree-foliage",
+)
+
+
+def mobius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def expected_verify_text(symbols, max_len):
+    """verify's output when every check passes, from Witt's necklace formula:
+    (1/n) times the sum of mobius(d) k^(n/d) over the divisors d of n
+    counts the Lyndon words of length n over k letters."""
+    k = len(symbols)
+    lyndon = [
+        sum(mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+        for n in range(1, max_len + 1)
+    ]
+    words = sum(k**n for n in range(1, max_len + 1))
+    lines = [
+        f"alphabet: {symbols}",
+        f"words checked: {words}",
+        "lyndon words per length: " + ",".join(map(str, lyndon)),
+        *(f"{name}: {words} pass" for name in ALWAYS_CHECKS),
+        *(f"{name}: {sum(lyndon) - k} pass" for name in COMPOSITE_LYNDON_CHECKS),
+        *(f"{name}: {sum(lyndon)} pass" for name in LYNDON_CHECKS),
+        "all checks pass",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -399,6 +458,13 @@ class TestVerify:
         assert lines[2] == "lyndon words per length: 2,1,2,3,6"
         assert lines[-1] == "all checks pass"
         assert any(line == "omega-agreement: 62 pass" for line in lines)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("symbols, max_len", [("ab", 9), ("abc", 5)])
+    def test_whole_output_from_the_necklace_formula(self, pool_results, jobs, symbols, max_len):
+        argv = ["verify", "--max-len", str(max_len), "--alphabet", symbols, "--jobs", jobs]
+        assert run_cli(argv) == (0, expected_verify_text(symbols, max_len), "")
+        assert (pool_results != []) == (jobs == "2")
 
     def test_unary_alphabet(self):
         code, out, _ = run_cli(["verify", "--alphabet", "a", "--max-len", "5"])

@@ -18,6 +18,7 @@ from lyndonkit import (
     lex_cmp,
     make_word,
     omega_cmp,
+    omega_cmp_naive,
     omega_mismatch_position,
     six_conditions,
 )
@@ -76,6 +77,34 @@ class TestOmegaCmp:
         got = omega_cmp(u, Word(u.alphabet, u.letters * e))
         assert got.outcome is Ordering.EQUAL
         assert fractional_power_of(u, got.common_root) is not None
+
+    def test_long_common_runs_match_the_naive_scan(self):
+        # Powers of a root with one letter appended, of about equal length
+        # or one of them short: a^k b against a^k c, (ab)^k a against
+        # (ab)^k b, a^k b against a, equal powers of a root and so on.  Each
+        # pair also goes as u against uv and uv against u.  The common run
+        # of uv and vu then grows past the letter-by-letter head of the scan
+        # in each of its three parts: u against v, v against its own tail,
+        # and the tail of v against u.
+        runs = {1: 0, 2: 0, 3: 0}
+        for root in ("a", "ab", "aab"):
+            for i, j in product(range(41), repeat=2):
+                if abs(i - j) > 1 and min(i, j) > 1:
+                    continue
+                for x, y in product(("", "a", "b", "c"), repeat=2):
+                    u = make_word(root * i + x, TERNARY)
+                    v = make_word(root * j + y, TERNARY)
+                    if not (u and v):
+                        continue
+                    for a, b in ((u, v), (u, u + v), (u + v, u)):
+                        got = omega_cmp(a, b)
+                        assert got == omega_cmp_naive(a, b), (a, b)
+                        if got.mismatch_position is not None:
+                            at = got.mismatch_position - 1
+                            p, q = sorted((len(a), len(b)))
+                            part, start = (1, 0) if at < p else (2, p) if at < q else (3, q)
+                            runs[part] = max(runs[part], at - start)
+        assert min(runs.values()) > 16, runs
 
 
 class TestMismatchPosition:

@@ -98,6 +98,16 @@ class TestNaiveOmega:
         assert got.outcome is Ordering.GREATER
         assert got.mismatch_position == 12
 
+    def test_root_search_raises_unless_the_words_commute(self):
+        # Equal extensions are confirmed by finding the common root, which
+        # exists exactly when uv = vu; no assert is needed, so none vanishes
+        # under python -O.
+        from lyndonkit.oracle import _common_root
+
+        assert _common_root(w("abab"), w("ab")) == w("ab")
+        with pytest.raises(AssertionError, match="no common root"):
+            _common_root(w("ab"), w("ba"))
+
     def test_agrees_with_fast_path_exhaustively(self):
         universe = list(iter_all_words(BINARY, 5))
         for u, v in product(universe, repeat=2):
@@ -264,6 +274,22 @@ class TestVerifyWord:
         assert verify_word(word).passed
         assert len(seen) == n * n
         assert set(seen) == set(product(range(1, n + 1), repeat=2))
+
+    def test_one_tree_and_one_factorization_per_word(self, monkeypatch):
+        import lyndonkit.oracle
+
+        word = w("aabab")
+        unpatched = verify_word(word)
+        calls = {"left_lyndon_tree": 0, "lyndon_factorization": 0}
+        for name in calls:
+
+            def counted(x, name=name, real=getattr(lyndonkit.oracle, name)):
+                calls[name] += 1
+                return real(x)
+
+            monkeypatch.setattr(lyndonkit.oracle, name, counted)
+        assert verify_word(word) == unpatched
+        assert calls == {"left_lyndon_tree": 1, "lyndon_factorization": 1}
 
     def test_end_factor_scans_examples(self):
         assert first_lyndon_factor_naive(w("ababaab")) == (w("ab"), w("ab"))
