@@ -16,9 +16,9 @@ from .errors import OmegaEqual, PreconditionFailed
 from .words import (
     Ordering,
     Word,
+    _root_length,
     ensure_nonempty,
     ensure_same_alphabet,
-    primitive_root,
 )
 
 __all__ = [
@@ -66,10 +66,15 @@ class SixConditions(NamedTuple):
 # Bound once: the sweep's many calls load a global far faster than an enum member.
 _LESS, _EQUAL, _GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
 
+# Builds a result from a tuple of its fields without the generated
+# NamedTuple constructor, a Python function that costs about as much as
+# a whole comparison of two short words.  Type and fields are the same.
+_new = tuple.__new__
+
 # Results are immutable, so every comparison decided by the first letters
 # can return one of these two.
-_LESS_AT_FIRST = OmegaComparison(_LESS, 1, None)
-_GREATER_AT_FIRST = OmegaComparison(_GREATER, 1, None)
+_LESS_AT_FIRST = _new(OmegaComparison, (_LESS, 1, None))
+_GREATER_AT_FIRST = _new(OmegaComparison, (_GREATER, 1, None))
 
 
 # Offsets compared letter by letter before _first_difference gallops.
@@ -118,19 +123,39 @@ def _concatenation_difference(a: tuple[int, ...], b: tuple[int, ...]) -> int | N
     a[0] == b[0] is known.  Neither concatenation is built, and the index
     is the same with a and b swapped.  With p = |a| <= q = |b|, the two
     read a against b[:p], then b[:q - p] against b[p:], then b[q - p:]
-    against a; each part compares windows at offsets into a and b.
+    against a; each part compares windows at offsets into a and b.  The
+    first 8 (_HEAD) offsets of the first part are read right here, so a
+    pair of short words that differ early costs no further call.
     """
     p, q = len(a), len(b)
     if p > q:
         a, b, p, q = b, a, q, p
-    i = _first_difference(a, 0, b, 0, p, 1)
-    if i is not None or p == q:
-        return i
+    head = p if p < _HEAD else _HEAD
+    i = 1
+    while i < head:
+        if a[i] != b[i]:
+            return i
+        i += 1
+    if i < p:
+        i = _first_difference(a, 0, b, 0, p, i)
+        if i is not None:
+            return i
+    if p == q:
+        return None
     i = _first_difference(b, 0, b, p, q - p)
     if i is not None:
         return p + i
     i = _first_difference(b, q - p, a, 0, p)
     return None if i is None else q + i
+
+
+def _order_at(a: tuple[int, ...], b: tuple[int, ...], i: int) -> Ordering:
+    """Order of a + b against b + a, which first differ at index i."""
+    # The letters of ab and ba at i, read from a and b.
+    p, q = len(a), len(b)
+    x = a[i] if i < p else b[i - p]
+    y = b[i] if i < q else a[i - q]
+    return _LESS if x < y else _GREATER
 
 
 def omega_cmp(u: Word, v: Word) -> OmegaComparison:
@@ -152,15 +177,19 @@ def omega_cmp(u: Word, v: Word) -> OmegaComparison:
         return _LESS_AT_FIRST if a[0] < b[0] else _GREATER_AT_FIRST
     i = _concatenation_difference(a, b)
     if i is not None:
-        # The letters of uv and vu at i, read from u and v.
-        p, q = len(a), len(b)
-        x = a[i] if i < p else b[i - p]
-        y = b[i] if i < q else a[i - q]
-        outcome = _LESS if x < y else _GREATER
-        return OmegaComparison(outcome, i + 1, None)
+        return _new(OmegaComparison, (_order_at(a, b, i), i + 1, None))
     # uv = vu: both are powers of their common prefix of gcd length.
-    root, _ = primitive_root(Word._make(u.alphabet, a[:gcd(len(a), len(b))]))
-    return OmegaComparison(_EQUAL, None, root)
+    common = a[:gcd(len(a), len(b))]
+    root = Word._make(u.alphabet, common[:_root_length(common)])
+    return _new(OmegaComparison, (_EQUAL, None, root))
+
+
+def _omega_order(a: tuple[int, ...], b: tuple[int, ...]) -> Ordering:
+    """omega_cmp's outcome on two nonempty letter tuples, with no result object."""
+    if a[0] != b[0]:
+        return _LESS if a[0] < b[0] else _GREATER
+    i = _concatenation_difference(a, b)
+    return _EQUAL if i is None else _order_at(a, b, i)
 
 
 def omega_mismatch_position(u: Word, v: Word) -> int | None:
@@ -180,23 +209,32 @@ def comparison_within_first_factor(u: Word, v: Word) -> bool:
     return cmp.mismatch_position <= len(v.letters)
 
 
-def _omega_less(a: Word, b: Word) -> bool:
-    return omega_cmp(a, b).outcome is _LESS
-
-
 def six_conditions(u: Word, v: Word) -> SixConditions:
-    """Evaluate each of the six extension inequalities independently."""
-    ensure_nonempty(u)
-    ensure_nonempty(v)
-    uv = u + v
-    vu = v + u
-    return SixConditions(
-        u_lt_v=_omega_less(u, v),
-        uv_lt_v=_omega_less(uv, v),
-        u_lt_vu=_omega_less(u, vu),
-        uv_lt_vu=_omega_less(uv, vu),
-        u_lt_uv=_omega_less(u, uv),
-        vu_lt_v=_omega_less(vu, v),
+    """Evaluate each of the six extension inequalities independently.
+
+    Each compares letter tuples: the concatenations uv and vu are copied
+    once each, and no Word or OmegaComparison is made.
+    """
+    a, b = u.letters, v.letters
+    # An empty word is reported before a mismatched alphabet; equal
+    # alphabets that are distinct objects are accepted.
+    if not (a and b):
+        ensure_nonempty(u)
+        ensure_nonempty(v)
+    if u.alphabet is not v.alphabet:
+        ensure_same_alphabet(u, v)
+    ab, ba = a + b, b + a
+    order = _omega_order
+    return _new(
+        SixConditions,
+        (
+            order(a, b) is _LESS,
+            order(ab, b) is _LESS,
+            order(a, ba) is _LESS,
+            order(ab, ba) is _LESS,
+            order(a, ab) is _LESS,
+            order(ba, b) is _LESS,
+        ),
     )
 
 
@@ -207,6 +245,7 @@ def bergman_chain(u: Word, v: Word) -> bool:
     """
     if omega_cmp(u, v).outcome is not _LESS:
         raise PreconditionFailed("the chain is stated for u strictly below v")
-    uv = u + v
-    vu = v + u
-    return _omega_less(u, uv) and _omega_less(uv, vu) and _omega_less(vu, v)
+    a, b = u.letters, v.letters
+    ab, ba = a + b, b + a
+    order = _omega_order
+    return order(a, ab) is _LESS and order(ab, ba) is _LESS and order(ba, b) is _LESS

@@ -66,6 +66,10 @@ __all__ = [
 # Bound once: the sweep's many calls load a global far faster than an enum member.
 _LESS, _EQUAL, _GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
 
+# Builds a NamedTuple result from a tuple of its fields, skipping the
+# generated constructor's Python frame.
+_new = tuple.__new__
+
 
 def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
     """Materialize both extensions out to |u| + |v| letters and scan.
@@ -82,16 +86,16 @@ def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
     if not (a and b):
         ensure_nonempty(u)
         ensure_nonempty(v)
-    total = len(a) + len(b)
-    ea = (a * (total // len(a) + 1))[:total]
-    eb = (b * (total // len(b) + 1))[:total]
+    p, q = len(a), len(b)
+    total = p + q
+    ea = (a * (total // p + 1))[:total]
+    eb = (b * (total // q + 1))[:total]
     if ea != eb:
         i = 0
         while ea[i] == eb[i]:
             i += 1
-        outcome = _LESS if ea[i] < eb[i] else _GREATER
-        return OmegaComparison(outcome, i + 1, None)
-    return OmegaComparison(_EQUAL, None, _common_root(u, v))
+        return _new(OmegaComparison, (_LESS if ea[i] < eb[i] else _GREATER, i + 1, None))
+    return _new(OmegaComparison, (_EQUAL, None, _common_root(u, v)))
 
 
 def _common_root(u: Word, v: Word) -> Word:
@@ -99,7 +103,7 @@ def _common_root(u: Word, v: Word) -> Word:
     for d in range(1, len(a) + 1):
         root = a[:d]
         if _repeats_to(root, a) and _repeats_to(root, v.letters):
-            return Word(u.alphabet, root)
+            return Word._make(u.alphabet, root)
     raise AssertionError(f"{u} and {v}: equal extensions but no common root, so uv != vu")
 
 
@@ -110,7 +114,10 @@ def _repeats_to(root: tuple[int, ...], letters: tuple[int, ...]) -> bool:
 
 def _below_rotations(letters: tuple[int, ...]) -> bool:
     # Strictly smaller than each of its nontrivial rotations.
-    return all(letters < letters[i:] + letters[:i] for i in range(1, len(letters)))
+    for i in range(1, len(letters)):
+        if not letters < letters[i:] + letters[:i]:
+            return False
+    return True
 
 
 def is_lyndon_via_suffixes(w: Word) -> bool:
@@ -164,7 +171,7 @@ def lyndon_factorization_naive(w: Word) -> LyndonFactorization:
                 stack.append((stop, pieces + (piece,)))
     if len(complete) != 1:
         raise UniquenessViolation(f"{w.text()!r}: {len(complete)} nonincreasing factorizations")
-    return LyndonFactorization(tuple(Word(w.alphabet, part) for part in complete[0]))
+    return LyndonFactorization(tuple(Word._make(w.alphabet, part) for part in complete[0]))
 
 
 def first_lyndon_factor_naive(w: Word) -> tuple[Word, Word]:
@@ -200,46 +207,68 @@ def last_lyndon_factor_naive(w: Word) -> Word:
     return best
 
 
+def _grow(w: Word, split) -> MagmaTree:
+    """Grow a tree over w top-down from the block w[0:n], with an explicit stack.
+
+    split(lo, hi) names the cut of the block w[lo:hi], which has at least
+    two letters: its children are the blocks w[lo:cut] and w[cut:hi].  A
+    one-letter block is a leaf.  No recursion, so no depth reaches the
+    interpreter's recursion limit.
+    """
+    done: list[MagmaTree] = []
+    todo = [(0, len(w.letters), False)]
+    while todo:
+        lo, hi, children_done = todo.pop()
+        if children_done:
+            right = done.pop()
+            done.append(Node(done.pop(), right))
+        elif hi - lo == 1:
+            done.append(Leaf(w[lo:hi]))
+        else:
+            cut = split(lo, hi)
+            # The left block finishes first, then the right one, then the node.
+            todo += ((lo, hi, True), (cut, hi, False), (lo, cut, False))
+    return done[0]
+
+
 def left_lyndon_tree_naive(w: Word) -> MagmaTree:
-    """Definitional recursion: split at the longest proper Lyndon prefix.
+    """Definition: split each block at its longest proper Lyndon prefix.
 
     Uses its own rotation-based Lyndon test and scans every prefix instead
     of stopping early, so it shares no algorithm with the fast builder.
     """
-    if not _below_rotations(w.letters):
+    ls = w.letters
+    if not _below_rotations(ls):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    if len(w.letters) == 1:
-        return Leaf(w)
-    cut = 0
-    for i in range(1, len(w.letters)):
-        if _below_rotations(w.letters[:i]):
-            cut = i
-    return Node(left_lyndon_tree_naive(w[:cut]), left_lyndon_tree_naive(w[cut:]))
+
+    def split(lo: int, hi: int) -> int:
+        cut = lo
+        for i in range(lo + 1, hi):
+            if _below_rotations(ls[lo:i]):
+                cut = i
+        return cut
+
+    return _grow(w, split)
 
 
 def left_cartesian_tree_via_prefixes(w: Word) -> MagmaTree:
     """The left Cartesian tree, built from the prefixes instead of integer ranks.
 
-    The recursion picks the prec-greatest proper prefix of each block and
-    fills the gaps between prefix positions with letter leaves.
+    Each block w[lo:hi] is cut after the prec-greatest of the prefixes
+    that end inside it, w[:lo + 1] to w[:hi - 1]; a one-letter block is a
+    letter leaf.
     """
     if not is_lyndon(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    n = len(w.letters)
-    if n == 1:
-        return Leaf(w)
 
-    def build(lo: int, hi: int) -> MagmaTree:
-        # Prefix lengths lo..hi sit between leaves lo-1 and hi (0-based).
-        if lo > hi:
-            return Leaf(w[lo - 1:lo])
-        top = lo
-        for length in range(lo + 1, hi + 1):
+    def split(lo: int, hi: int) -> int:
+        top = lo + 1
+        for length in range(lo + 2, hi):
             if prec_cmp(w[:length], w[:top]) is _GREATER:
                 top = length
-        return Node(build(lo, top - 1), build(top + 1, hi))
+        return top
 
-    return build(1, n - 1)
+    return _grow(w, split)
 
 
 @dataclass(frozen=True)
@@ -530,6 +559,10 @@ _CHECKS = (
 
 CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
+# A passed check's result carries only its name and results are immutable,
+# so every report shares one per check instead of building a dataclass.
+_PASSED = {name: CheckResult(name, True) for name in CHECK_NAMES}
+
 
 def verify_word(w: Word) -> VerificationReport:
     """Run every applicable cross-check on one word; a check that raises fails.
@@ -548,7 +581,10 @@ def verify_word(w: Word) -> VerificationReport:
                     detail = check(w)
                 except Exception as err:
                     detail = f"raised {type(err).__name__}: {err}"
-                results.append(CheckResult(name, detail is None, detail or ""))
+                if detail is None:
+                    results.append(_PASSED.get(name) or CheckResult(name, True))
+                else:
+                    results.append(CheckResult(name, False, detail))
     finally:
         _current = None
     return VerificationReport(w, tuple(results))

@@ -92,6 +92,9 @@ class OrderedAlphabet:
         return f"OrderedAlphabet({''.join(self.symbols)!r})"
 
 
+_new_word = object.__new__
+
+
 class Word:
     """An immutable finite word, stored as a tuple of alphabet ranks.
 
@@ -131,8 +134,12 @@ class Word:
         return iter(self.letters)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Word._make(self.alphabet, self.letters[index])
+        if index.__class__ is slice:
+            # _make inlined: the sweep slices prefixes and suffixes of every word.
+            word = _new_word(Word)
+            word.alphabet = self.alphabet
+            word.letters = self.letters[index]
+            return word
         return self.letters[index]
 
     def __add__(self, other: "Word") -> "Word":
@@ -276,17 +283,23 @@ def fractional_power_of(v: Word, u: Word) -> FractionalExponent | None:
     return FractionalExponent(whole, part.numerator, part.denominator)
 
 
-def primitive_root(w: Word) -> tuple[Word, int]:
-    """The shortest word x and the exponent e >= 1 with w = x^e."""
-    ensure_nonempty(w)
-    ls = w.letters
+def _root_length(ls: tuple[int, ...]) -> int:
+    """Length of the primitive root of a nonempty letter tuple."""
     n = len(ls)
     for d in range(1, n + 1):
         # A period d must first survive its next d letters, an O(d) check
         # that rejects most candidates before the O(n) one.
         if n % d == 0 and ls[d:2 * d] == ls[:min(d, n - d)] and ls[:d] * (n // d) == ls:
-            return Word._make(w.alphabet, ls[:d]), n // d
+            return d
     raise AssertionError("unreachable: every word is a power of itself")
+
+
+def primitive_root(w: Word) -> tuple[Word, int]:
+    """The shortest word x and the exponent e >= 1 with w = x^e."""
+    ensure_nonempty(w)
+    ls = w.letters
+    d = _root_length(ls)
+    return Word._make(w.alphabet, ls[:d]), len(ls) // d
 
 
 def nontrivial_splits(w: Word) -> Iterator[tuple[Word, Word]]:

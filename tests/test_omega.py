@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import product
 
@@ -6,7 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lyndonkit import (
+    OmegaComparison,
+    OrderedAlphabet,
     Ordering,
+    SixConditions,
     Word,
     bergman_chain,
     comparison_within_first_factor,
@@ -276,3 +280,106 @@ def test_reversed_alphabet_flips_outcome(u, v):
     assert dual.mismatch_position == got.mismatch_position
     if got.outcome is Ordering.EQUAL:
         assert dual.common_root.text() == got.common_root.text()
+
+
+SIX_FIELDS = ("u_lt_v", "uv_lt_v", "u_lt_vu", "uv_lt_vu", "u_lt_uv", "vu_lt_v")
+
+# Pairs that take each path of omega_cmp: different first letters, a
+# difference inside the first, second or third part of the concatenations,
+# and equal extensions.
+CONTRACT_PAIRS = [
+    ("a", "b"),
+    ("b", "ab"),
+    ("aab", "ab"),
+    ("ab", "aab"),
+    ("abaab", "abaababa"),
+    ("ab" * 6 + "b", "ab" * 5),
+    ("ab", "abab"),
+    ("abaab" * 3, "abaab" * 2),
+]
+
+
+class TestResultContract:
+    """The results are the same values a caller would build by hand."""
+
+    @pytest.mark.parametrize("compare", [omega_cmp, omega_cmp_naive])
+    @pytest.mark.parametrize("pair", CONTRACT_PAIRS)
+    def test_results_equal_and_hash_like_built_ones(self, compare, pair):
+        got = compare(w(pair[0]), w(pair[1]))
+        built = OmegaComparison(got.outcome, got.mismatch_position, got.common_root)
+        assert type(got) is OmegaComparison
+        assert got == built and hash(got) == hash(built)
+        assert got._fields == ("outcome", "mismatch_position", "common_root")
+        assert got._asdict() == built._asdict()
+        assert repr(got) == repr(built)
+
+    @pytest.mark.parametrize("pair", CONTRACT_PAIRS)
+    def test_six_conditions_is_a_plain_six_conditions(self, pair):
+        got = six_conditions(w(pair[0]), w(pair[1]))
+        built = SixConditions(*got)
+        assert type(got) is SixConditions
+        assert got == built and hash(got) == hash(built)
+        assert repr(got) == repr(built)
+
+    def test_six_fields_and_structured_keys(self, capsys):
+        from lyndonkit.cli import main
+
+        assert SixConditions._fields == SIX_FIELDS
+        assert main(["compare", "aab", "ab", "--six", "--format", "structured"]) == 0
+        assert tuple(json.loads(capsys.readouterr().out)["six"]) == SIX_FIELDS
+
+    def test_six_conditions_errors(self):
+        other = make_word("a", BINARY.reversed())
+        empty = Word(BINARY)
+        # An empty word is reported before a mismatched alphabet.
+        for u, v in ((empty, w("a")), (w("a"), empty), (empty, other), (other, empty)):
+            with pytest.raises(errors.EmptyWord):
+                six_conditions(u, v)
+        for u, v in ((w("a"), other), (other, w("a"))):
+            with pytest.raises(errors.AlphabetMismatch):
+                six_conditions(u, v)
+        # Equal alphabets need not be one object.
+        twin = make_word("ab", OrderedAlphabet("ab"))
+        assert six_conditions(w("a"), twin) == six_conditions(w("a"), w("ab"))
+
+    def test_bergman_chain_errors(self):
+        other = make_word("b", BINARY.reversed())
+        empty = Word(BINARY)
+        # A mismatched alphabet is reported before an empty word.
+        for u, v in ((w("a"), other), (other, w("a")), (empty, other), (other, empty)):
+            with pytest.raises(errors.AlphabetMismatch):
+                bergman_chain(u, v)
+        for u, v in ((empty, w("a")), (w("a"), empty)):
+            with pytest.raises(errors.EmptyWord):
+                bergman_chain(u, v)
+        for u, v in ((w("b"), w("a")), (w("ab"), w("abab"))):
+            with pytest.raises(errors.PreconditionFailed):
+                bergman_chain(u, v)
+        twin = make_word("b", OrderedAlphabet("ab"))
+        assert bergman_chain(w("a"), twin) is True
+
+
+@st.composite
+def _long_pairs(draw):
+    if draw(st.booleans()):
+        return draw(words(max_size=300)), draw(words(max_size=300))
+    # Powers of one short root with short tails, so the pair often agrees
+    # for hundreds of letters before it differs, or never differs.
+    root = draw(words(max_size=6)).letters
+    return tuple(
+        Word(BINARY, root * draw(st.integers(1, 60)) + draw(words(min_size=0, max_size=6)).letters)
+        for _ in range(2)
+    )
+
+
+@given(_long_pairs())
+def test_six_conditions_match_omega_cmp_on_concatenations(pair):
+    u, v = pair
+    uv, vu = u + v, v + u
+    expected = tuple(
+        omega_cmp(x, y).outcome is Ordering.LESS
+        for x, y in ((u, v), (uv, v), (u, vu), (uv, vu), (u, uv), (vu, v))
+    )
+    assert six_conditions(u, v) == expected
+    if expected[0]:
+        assert bergman_chain(u, v) == (expected[4] and expected[3] and expected[5])

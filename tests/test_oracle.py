@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import product
 
@@ -19,6 +20,7 @@ from lyndonkit import (
     is_lyndon,
     iter_all_words,
     last_lyndon_factor_naive,
+    left_cartesian_tree_via_prefixes,
     left_lyndon_tree,
     left_lyndon_tree_naive,
     lyndon_factorization,
@@ -183,6 +185,23 @@ class TestNaiveTree:
         for word in enumerate_lyndon_words(BINARY, 9):
             assert left_lyndon_tree_naive(word) == left_lyndon_tree(word), word
 
+    @pytest.mark.parametrize(
+        "build", [left_lyndon_tree_naive, left_cartesian_tree_via_prefixes]
+    )
+    def test_no_recursion(self, build):
+        # The comb a^299 b has 300 levels; the builder gets 150 frames.
+        word = w("a" * 299 + "b")
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            tree = build(word)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree == left_lyndon_tree(word)
+
 
 class TestVerifyWord:
     def test_worked_example_passes(self):
@@ -274,6 +293,54 @@ class TestVerifyWord:
         assert verify_word(word).passed
         assert len(seen) == n * n
         assert set(seen) == set(product(range(1, n + 1), repeat=2))
+
+    def test_omega_agreement_fails_when_the_oracle_lies(self, monkeypatch):
+        word = w("aabab")
+        p, s = word[:2], word[1:]
+        real = omega_cmp_naive
+
+        def lying(x, y):
+            got = real(x, y)
+            if (x, y) == (p, s):
+                return got._replace(mismatch_position=got.mismatch_position + 1)
+            return got
+
+        monkeypatch.setattr("lyndonkit.oracle.omega_cmp_naive", lying)
+        [failure] = verify_word(word).failures()
+        assert failure.name == "omega-agreement"
+        assert failure.detail.startswith("prefix aa vs suffix abab: ")
+
+    def test_six_equivalence_fails_when_one_condition_flips(self, monkeypatch):
+        import lyndonkit.oracle
+
+        word = w("aabab")
+        real = lyndonkit.oracle.six_conditions
+
+        def flipped(u, v):
+            six = real(u, v)
+            return six._replace(u_lt_vu=not six.u_lt_vu) if u.letters == (0, 0) else six
+
+        monkeypatch.setattr(lyndonkit.oracle, "six_conditions", flipped)
+        [failure] = verify_word(word).failures()
+        assert failure.name == "six-equivalence"
+        assert failure.detail.startswith("split aa|bab: ")
+
+    def test_bergman_chain_fails_when_one_link_breaks(self, monkeypatch):
+        import lyndonkit.omega
+
+        word = w("aabab")
+        u, v = word[:2], word[2:]
+        link = ((u + v).letters, (v + u).letters)
+        real = lyndonkit.omega._omega_order
+
+        def broken(a, b):
+            return Ordering.GREATER if (a, b) == link else real(a, b)
+
+        monkeypatch.setattr(lyndonkit.omega, "_omega_order", broken)
+        details = {c.name: c.detail for c in verify_word(word).failures()}
+        # The link (uv)^ω < (vu)^ω is also one of the six.
+        assert set(details) == {"six-equivalence", "bergman-chain"}
+        assert details["bergman-chain"] == "split aa|bab: chain violated"
 
     def test_one_tree_and_one_factorization_per_word(self, monkeypatch):
         import lyndonkit.oracle
