@@ -7,26 +7,40 @@ brute-force oracles and a per-word verifier used by the test suite and
 the ``lyndonkit verify`` sweep.
 """
 
-from . import cartesian, cli, errors, lyndon, omega, oracle, trees, words
-from .cartesian import *
-from .cli import *
+import importlib
+
+from . import errors, lyndon, omega, words
 from .lyndon import *
 from .omega import *
-from .oracle import *
-from .trees import *
 from .words import *
 
 __version__ = "0.1.0"
 
-# Each module lists its own public names once; the package exports them all.
-__all__ = [
-    "errors",
-    *words.__all__,
-    *omega.__all__,
-    *lyndon.__all__,
-    *trees.__all__,
-    *cartesian.__all__,
-    *oracle.__all__,
-    *cli.__all__,
-    "__version__",
-]
+# compare and factorize need only the modules above; these load on first use.
+_DEFERRED = ("trees", "cartesian", "oracle", "cli")
+
+
+def __getattr__(name: str):
+    if name in _DEFERRED:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        # Each module lists its own public names once; the package exports them all.
+        value = [
+            "errors",
+            *words.__all__,
+            *omega.__all__,
+            *lyndon.__all__,
+            *(n for module in _DEFERRED for n in __getattr__(module).__all__),
+            "__version__",
+        ]
+    else:
+        owner = next((m for m in map(__getattr__, _DEFERRED) if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -10,17 +10,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import sys
 
-from .cartesian import _cartesian_ranks, _z_array, prefix_standard_permutation
 from .errors import LyndonKitError
 from .lyndon import _duval_cuts, first_lyndon_factor, is_lyndon, last_lyndon_factor
 from .omega import omega_cmp, six_conditions
-from .oracle import CHECK_NAMES, verify_word
-from .trees import _bracket_counts, _left_ranks, _right_ranks, _write, _write_dot, _write_json
 from .words import Ordering, OrderedAlphabet, Word, make_word
+
+# compare and factorize run on the modules above.  The tree, Cartesian and
+# oracle modules, and json, are imported by the commands that use them.
 
 __all__ = ["main"]
 
@@ -51,6 +50,8 @@ def cmd_compare(args) -> int:
     result = omega_cmp(u, v)
     six = six_conditions(u, v) if args.six else None
     if args.format == "structured":
+        import json
+
         doc = {
             "outcome": result.outcome.name.lower(),
             "mismatch_position": result.mismatch_position,
@@ -91,6 +92,8 @@ def cmd_factorize(args) -> int:
     # The factors tile w, so each one's text is a slice of the input.
     factors = [text[a:b] for a, b in zip(cuts, cuts[1:])]
     if args.format == "structured":
+        import json
+
         print(json.dumps({"factors": factors, "first": factors[0], "last": factors[-1]}))
         return 0
     print(f"({')('.join(factors)})")
@@ -107,10 +110,14 @@ def _format_perm(values: tuple[int, ...]) -> str:
 
 
 def cmd_pstd(args) -> int:
+    from .cartesian import prefix_standard_permutation
+
     alphabet = _alphabet_for(args.alphabet, args.w)
     w = make_word(args.w, alphabet)
     ranks = prefix_standard_permutation(w)
     if args.format == "structured":
+        import json
+
         print(json.dumps({"sigma": list(ranks.sigma), "inverse": list(ranks.inverse)}))
         return 0
     print(_format_perm(ranks.sigma))
@@ -125,6 +132,8 @@ def _lyndon_violation(w: Word) -> tuple[Word, Word]:
     letters, where z is the Z-array of w, so each split is decided by one
     letter comparison and the search is O(n).
     """
+    from .cartesian import _z_array
+
     ls = w.letters
     n = len(ls)
     z = _z_array(ls)
@@ -138,6 +147,9 @@ def _lyndon_violation(w: Word) -> tuple[Word, Word]:
 
 
 def cmd_tree(args) -> int:
+    from .cartesian import _cartesian_ranks
+    from .trees import _bracket_counts, _left_ranks, _right_ranks, _write, _write_dot, _write_json
+
     alphabet = _alphabet_for(args.alphabet, args.w)
     w = make_word(args.w, alphabet)
     if not is_lyndon(w):
@@ -177,6 +189,8 @@ def _verify_one(symbols: str, n: int, head: tuple[int, ...]):
     Returns the Lyndon count, the passes per check, and the first failure's
     FAIL line or None, so only counts and one failure cross processes.
     """
+    from .oracle import CHECK_NAMES, verify_word
+
     alphabet = OrderedAlphabet(symbols)
     lyndon = 0
     passes = dict.fromkeys(CHECK_NAMES, 0)
@@ -191,6 +205,8 @@ def _verify_one(symbols: str, n: int, head: tuple[int, ...]):
 
 
 def cmd_verify(args) -> int:
+    from .oracle import CHECK_NAMES
+
     if args.format != "text":
         print("verify only renders text", file=sys.stderr)
         return 2

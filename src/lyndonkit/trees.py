@@ -13,7 +13,6 @@ DOT form are all written from its bracket form (see _brackets).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -319,6 +318,8 @@ def _write(leaves: Sequence[str], opens, closes, opening="(", separator=",", clo
 
 def _write_json(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[int]) -> str:
     """The JSON text json.dumps gives for nested {"l": ..., "r": ...} and {"leaf": ...}."""
+    import json
+
     leaf = {s: '{"leaf": ' + json.dumps(s) + "}" for s in set(symbols)}
     return _write([leaf[s] for s in symbols], opens, closes, '{"l": ', ', "r": ', "}")
 

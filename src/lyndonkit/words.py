@@ -12,10 +12,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatch, EmptyBase, EmptyWord, UnknownSymbol
+
+if TYPE_CHECKING:  # fractions loads only where a Fraction is made
+    from fractions import Fraction
 
 __all__ = [
     "Ordering",
@@ -180,6 +182,8 @@ class FractionalExponent:
     def __post_init__(self) -> None:
         if self.whole < 0 or self.den <= 0 or not 0 <= self.num < self.den:
             raise ValueError("need whole >= 0 and 0 <= num/den < 1")
+        from fractions import Fraction
+
         if Fraction(self.num, self.den).numerator != self.num:
             raise ValueError(f"{self.num}/{self.den} is not reduced")
 
@@ -188,6 +192,8 @@ class FractionalExponent:
         return self.whole >= 1
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return self.whole + Fraction(self.num, self.den)
 
 
@@ -278,6 +284,8 @@ def fractional_power_of(v: Word, u: Word) -> FractionalExponent | None:
         raise EmptyBase("the base of a fractional power must be nonempty")
     if any(x != base[i % len(base)] for i, x in enumerate(v.letters)):
         return None
+    from fractions import Fraction
+
     whole, rem = divmod(len(v.letters), len(base))
     part = Fraction(rem, len(base))
     return FractionalExponent(whole, part.numerator, part.denominator)

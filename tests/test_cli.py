@@ -35,8 +35,8 @@ from lyndonkit import (
 )
 from lyndonkit.cli import _lyndon_violation, main
 from lyndonkit.cli import _verify_one as real_verify_one
-from lyndonkit.cli import verify_word as real_verify_word
 from lyndonkit.errors import NotLyndon
+from lyndonkit.oracle import verify_word as real_verify_word
 
 from .strategies import BINARY, TERNARY
 
@@ -383,7 +383,7 @@ class TestTree:
     def test_divergence_exits_1(self, monkeypatch):
         # Increasing labels make the left comb ((((a,a),b),a),b), not the left tree.
         monkeypatch.setattr(
-            "lyndonkit.cli._cartesian_ranks",
+            "lyndonkit.cartesian._cartesian_ranks",
             lambda word: list(range(1, len(word))),
         )
         code, out, _ = run_cli(["tree", "aabab", "--kind", "left"])
@@ -537,7 +537,7 @@ class TestVerify:
                 word, (CheckResult("omega-agreement", False, "forced"),)
             )
 
-        monkeypatch.setattr("lyndonkit.cli.verify_word", broken)
+        monkeypatch.setattr("lyndonkit.oracle.verify_word", broken)
         code, _, err = run_cli(["verify", "--max-len", "2"])
         assert code == 1
         assert err.startswith("FAIL omega-agreement on a: forced")
@@ -570,7 +570,7 @@ class TestVerify:
         monkeypatch.setattr("lyndonkit.cli.ProcessPoolExecutor", Pool)
         monkeypatch.setattr("lyndonkit.cli.os.cpu_count", lambda: 2)
         monkeypatch.setattr("lyndonkit.cli._verify_one", counted)
-        monkeypatch.setattr("lyndonkit.cli.verify_word", broken)
+        monkeypatch.setattr("lyndonkit.oracle.verify_word", broken)
         code, out, err = run_cli(["verify", "--max-len", "11", "--jobs", "2"])
         assert (code, out, err) == (1, "", "FAIL omega-agreement on a: forced\n")
         # Of 78 shards (2 + 4 + 8 for lengths 1 to 3, 8 for each longer
@@ -604,7 +604,7 @@ class TestVerify:
                 ),
             )
 
-        monkeypatch.setattr("lyndonkit.cli.verify_word", broken)
+        monkeypatch.setattr("lyndonkit.oracle.verify_word", broken)
         code, out, err = run_cli(["verify", "--max-len", "5", "--jobs", jobs])
         assert (code, out, err) == (1, "", "FAIL lyndon-definitions on bbab: forced\n")
         if jobs == "2":
@@ -653,7 +653,7 @@ class TestExitCodes:
         assert (code, err) == (0, "")
 
     def test_failed_cross_check_is_1(self, monkeypatch):
-        monkeypatch.setattr("lyndonkit.cli._left_ranks", lambda word: list(range(1, len(word))))
+        monkeypatch.setattr("lyndonkit.trees._left_ranks", lambda word: list(range(1, len(word))))
         code, _, err = run_cli(["tree", "aabab", "--kind", "cartesian", "--format", "dot"])
         assert (code, err) == (1, "left and cartesian trees differ\n")
 
