@@ -74,11 +74,11 @@ _new = tuple.__new__
 def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
     """Materialize both extensions out to |u| + |v| letters and scan.
 
-    The two prefixes are tested for equality first; unequal ones are
-    scanned letter by letter for the first mismatch.  Equal ones mean equal
-    extensions (Fine and Wilf); the common root is then found by trying
-    prefixes of u from the shortest up.  Finding none raises, and that
-    happens exactly when uv != vu (Lyndon and Schützenberger).
+    _first_mismatch scans the two extensions letter by letter for the first
+    offset where they differ.  Finding none means equal extensions (Fine
+    and Wilf); the common root is then found by trying prefixes of u from
+    the shortest up.  Finding none raises, and that happens exactly when
+    uv != vu (Lyndon and Schützenberger).
     """
     if u.alphabet is not v.alphabet:
         ensure_same_alphabet(u, v)
@@ -86,16 +86,32 @@ def omega_cmp_naive(u: Word, v: Word) -> OmegaComparison:
     if not (a and b):
         ensure_nonempty(u)
         ensure_nonempty(v)
-    p, q = len(a), len(b)
-    total = p + q
-    ea = (a * (total // p + 1))[:total]
-    eb = (b * (total // q + 1))[:total]
-    if ea != eb:
-        i = 0
-        while ea[i] == eb[i]:
-            i += 1
-        return _new(OmegaComparison, (_LESS if ea[i] < eb[i] else _GREATER, i + 1, None))
+    total = len(a) + len(b)
+    ea, eb = _extension(a, total), _extension(b, total)
+    k = _first_mismatch(ea, eb, total)
+    if k is not None:
+        return _new(OmegaComparison, (_LESS if ea[k] < eb[k] else _GREATER, k + 1, None))
     return _new(OmegaComparison, (_EQUAL, None, _common_root(u, v)))
+
+
+def _extension(letters: tuple[int, ...], length: int) -> tuple[int, ...]:
+    """The first length letters of letters repeated forever."""
+    return (letters * (length // len(letters) + 1))[:length]
+
+
+def _first_mismatch(ea: tuple[int, ...], eb: tuple[int, ...], total: int) -> int | None:
+    """First offset k < total with ea[k] != eb[k], None if there is none.
+
+    The one scan behind omega_cmp_naive and the omega-agreement check.  It
+    shares no code with the locators in omega, so the oracle stays
+    independent of what it checks.
+    """
+    k = 0
+    while k < total:
+        if ea[k] != eb[k]:
+            return k
+        k += 1
+    return None
 
 
 def _common_root(u: Word, v: Word) -> Word:
@@ -353,14 +369,30 @@ def _facts(w: Word) -> _Facts:
 
 
 def _check_omega_agreement(w: Word):
-    n = len(w.letters)
-    suffixes = [w[j:] for j in range(n)]
-    for p in [w[:i] for i in range(1, n + 1)]:
-        for s in suffixes:
+    # Each pair is decided within its first |p| + |s| <= 2n letters (Fine
+    # and Wilf), so one 2n-letter extension of each prefix and suffix serves
+    # all n pairs it takes part in.  The fast result is compared field by
+    # field; the naive one is built only for a failure's detail.
+    letters = w.letters
+    n = len(letters)
+    width = 2 * n
+    suffixes = [(w[j:], _extension(letters[j:], width), n - j) for j in range(n)]
+    for i in range(1, n + 1):
+        p = w[:i]
+        ep = _extension(letters[:i], width)
+        for s, es, length in suffixes:
             fast = omega_cmp(p, s)
-            slow = omega_cmp_naive(p, s)
-            if fast != slow:
-                return f"prefix {p} vs suffix {s}: {fast} != {slow}"
+            k = _first_mismatch(ep, es, i + length)
+            if k is None:
+                agree = fast[0] is _EQUAL and fast[1] is None and fast[2] == _common_root(p, s)
+            else:
+                agree = (
+                    fast[0] is (_LESS if ep[k] < es[k] else _GREATER)
+                    and fast[1] == k + 1
+                    and fast[2] is None
+                )
+            if not agree:
+                return f"prefix {p} vs suffix {s}: {fast} != {omega_cmp_naive(p, s)}"
 
 
 def _check_lyndon_definitions(w: Word):

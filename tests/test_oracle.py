@@ -125,6 +125,25 @@ class TestNaiveOmega:
         for u, v in product(universe, repeat=2):
             assert omega_cmp_naive(u, v) == omega_cmp_indexed(u, v), (u, v)
 
+    @pytest.mark.parametrize("alphabet, max_len", [(BINARY, 8), (TERNARY, 5)])
+    def test_extensions_of_twice_the_word_decide_every_pair(self, alphabet, max_len):
+        # verify extends each prefix and suffix of an n-letter word once, to
+        # 2n letters, and scans the first |u| + |v| of them for each pair.
+        from lyndonkit.oracle import _extension, _first_mismatch
+
+        for word in iter_all_words(alphabet, max_len):
+            letters = word.letters
+            n = len(letters)
+            prefixes = [letters[:i] for i in range(1, n + 1)]
+            suffixes = [letters[j:] for j in range(n)]
+            for u, v in product(prefixes, suffixes):
+                total = len(u) + len(v)
+                literal = next(
+                    (k for k in range(total) if u[k % len(u)] != v[k % len(v)]), None
+                )
+                scanned = _first_mismatch(_extension(u, 2 * n), _extension(v, 2 * n), total)
+                assert scanned == literal, (u, v)
+
     @pytest.mark.parametrize("compare", [omega_cmp, omega_cmp_naive])
     def test_error_order(self, compare):
         # A mismatched alphabet is reported before an empty word.
@@ -279,36 +298,73 @@ class TestVerifyWord:
         assert [c.name for c in report.failures()] == ["first-factor", "last-factor"]
 
     def test_omega_agreement_visits_every_pair_once(self, monkeypatch):
+        from lyndonkit.oracle import _first_mismatch
+
         word = w("abaabbab")
         n = len(word)
+        prefixes = [word.letters[:i] for i in range(1, n + 1)]
+        suffixes = [word.letters[j:] for j in range(n)]
         seen = []
 
-        def recording(p, s):
-            assert p.letters == word.letters[: len(p)]
-            assert s.letters == word.letters[n - len(s) :]
-            seen.append((len(p), len(s)))
-            return omega_cmp_naive(p, s)
+        def length_of(extension, parts):
+            # The one part whose periodic extension this is.
+            [part] = [x for x in parts if all(c == x[k % len(x)] for k, c in enumerate(extension))]
+            return len(part)
 
-        monkeypatch.setattr("lyndonkit.oracle.omega_cmp_naive", recording)
+        def recording(ep, es, total):
+            i, j = length_of(ep, prefixes), length_of(es, suffixes)
+            assert total == i + j
+            seen.append((i, j))
+            return _first_mismatch(ep, es, total)
+
+        monkeypatch.setattr("lyndonkit.oracle._first_mismatch", recording)
         assert verify_word(word).passed
         assert len(seen) == n * n
         assert set(seen) == set(product(range(1, n + 1), repeat=2))
 
     def test_omega_agreement_fails_when_the_oracle_lies(self, monkeypatch):
+        from lyndonkit.oracle import _first_mismatch
+
         word = w("aabab")
-        p, s = word[:2], word[1:]
-        real = omega_cmp_naive
+        p, s = word.letters[:2], word.letters[1:]
 
-        def lying(x, y):
-            got = real(x, y)
-            if (x, y) == (p, s):
-                return got._replace(mismatch_position=got.mismatch_position + 1)
-            return got
+        def extension(x, total):
+            return tuple(x[k % len(x)] for k in range(total))
 
-        monkeypatch.setattr("lyndonkit.oracle.omega_cmp_naive", lying)
+        def lying(ep, es, total):
+            k = _first_mismatch(ep, es, total)
+            pair = (extension(p, total), extension(s, total))
+            if total == len(p) + len(s) and (ep[:total], es[:total]) == pair:
+                return k + 1
+            return k
+
+        monkeypatch.setattr("lyndonkit.oracle._first_mismatch", lying)
         [failure] = verify_word(word).failures()
         assert failure.name == "omega-agreement"
         assert failure.detail.startswith("prefix aa vs suffix abab: ")
+
+    @pytest.mark.parametrize(
+        "text, prefix, suffix, lie",
+        [
+            ("aabab", "aa", "abab", {"outcome": Ordering.GREATER}),
+            ("aabab", "aa", "abab", {"mismatch_position": 3}),
+            ("aabab", "aa", "abab", {"common_root": w("a")}),
+            ("abab", "ab", "abab", {"outcome": Ordering.LESS}),
+            ("abab", "ab", "abab", {"mismatch_position": 5}),
+            ("abab", "ab", "abab", {"common_root": None}),
+            ("abab", "ab", "abab", {"common_root": w("abab")}),
+        ],
+    )
+    def test_omega_agreement_checks_every_field(self, monkeypatch, text, prefix, suffix, lie):
+        # One field of one pair is wrong.  The pair's first letters agree,
+        # so only a scan past them can tell.
+        def lying(x, y):
+            got = omega_cmp(x, y)
+            return got._replace(**lie) if (x.text(), y.text()) == (prefix, suffix) else got
+
+        monkeypatch.setattr("lyndonkit.oracle.omega_cmp", lying)
+        failures = {c.name: c.detail for c in verify_word(w(text)).failures()}
+        assert failures["omega-agreement"].startswith(f"prefix {prefix} vs suffix {suffix}: ")
 
     def test_six_equivalence_fails_when_one_condition_flips(self, monkeypatch):
         import lyndonkit.oracle
