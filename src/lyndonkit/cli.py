@@ -143,7 +143,7 @@ def _lyndon_violation(w: Word) -> tuple[Word, Word]:
         # the two first differ at offset k.
         if k == n - i or (k < i and ls[k] > ls[i + k]):
             return w[:i], w[i:]
-    raise ValueError(f"{w.text()!r} is a Lyndon word")
+    raise AssertionError(f"{w.text()!r} is a Lyndon word")
 
 
 def cmd_tree(args) -> int:

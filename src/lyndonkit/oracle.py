@@ -317,10 +317,11 @@ class VerificationReport:
 class _Facts:
     """Fast-path results about one word, each computed on first use.
 
-    The checks of one word share them, so the left tree, Duval's
-    factorization and the split comparisons are each computed once per
-    word.  Only fast-path results live here: every oracle answer is
-    computed by the check that compares against it.
+    verify_word makes one per word and passes it to every predicate and
+    check, so the left tree, its left foliages, Duval's factorization and
+    the split comparisons are each computed once per word.  Only fast-path
+    results live here: every oracle answer is computed by the check that
+    compares against it.
     """
 
     def __init__(self, w: Word) -> None:
@@ -352,23 +353,18 @@ class _Facts:
             for addr in internal_addresses(t)
         )
 
-
-# The record of the word verify_word is checking.  A check looks it up by
-# the identity of its word, so a direct call on any other word gets a
-# fresh record of its own.
-_current: _Facts | None = None
-
-
-def _facts(w: Word) -> _Facts:
-    facts = _current
-    return facts if facts is not None and facts.word is w else _Facts(w)
+    @cached_property
+    def labels(self) -> dict[str, Word]:
+        """Each internal node's address, with its left foliage."""
+        t = self.tree
+        return {addr: left_foliage(t, addr) for addr in internal_addresses(t)}
 
 
-# Each check returns None when its claim holds on w, and otherwise a detail
-# naming the values that disagreed.
+# Each check gets the word and its _Facts record, and returns None when its
+# claim holds on w, and otherwise a detail naming the values that disagreed.
 
 
-def _check_omega_agreement(w: Word):
+def _check_omega_agreement(w: Word, facts: _Facts):
     # Each pair is decided within its first |p| + |s| <= 2n letters (Fine
     # and Wilf), so one 2n-letter extension of each prefix and suffix serves
     # all n pairs it takes part in.  The fast result is compared field by
@@ -395,15 +391,14 @@ def _check_omega_agreement(w: Word):
                 return f"prefix {p} vs suffix {s}: {fast} != {omega_cmp_naive(p, s)}"
 
 
-def _check_lyndon_definitions(w: Word):
-    flags = (_facts(w).lyndon, is_lyndon_via_suffixes(w), is_lyndon_via_rotations(w))
+def _check_lyndon_definitions(w: Word, facts: _Facts):
+    flags = (facts.lyndon, is_lyndon_via_suffixes(w), is_lyndon_via_rotations(w))
     if len(set(flags)) != 1:
         return f"split conditions disagree: {flags}"
 
 
-def _check_suffix_conditions(w: Word):
+def _check_suffix_conditions(w: Word, facts: _Facts):
     # Two forms over the splits w = uv: w^ω < v^ω (the library's) and u^ω < v^ω.
-    facts = _facts(w)
     whole = is_lyndon_suffix_omega(w)
     parts = all(outcome is _LESS for _, _, outcome in facts.splits)
     if whole != parts:
@@ -412,13 +407,13 @@ def _check_suffix_conditions(w: Word):
         return "suffix extension test disagrees with the split test"
 
 
-def _check_prefix_condition(w: Word):
-    if is_lyndon_prefix_omega(w) != _facts(w).lyndon:
+def _check_prefix_condition(w: Word, facts: _Facts):
+    if is_lyndon_prefix_omega(w) != facts.lyndon:
         return "prefix extension test disagrees with the split test"
 
 
-def _check_six_equivalence(w: Word):
-    for u, v, outcome in _facts(w).splits:
+def _check_six_equivalence(w: Word, facts: _Facts):
+    for u, v, outcome in facts.splits:
         six = six_conditions(u, v)
         if outcome is _EQUAL:
             if any(six):
@@ -427,14 +422,14 @@ def _check_six_equivalence(w: Word):
             return f"split {u}|{v}: {six}"
 
 
-def _check_bergman(w: Word):
-    for u, v, outcome in _facts(w).splits:
+def _check_bergman(w: Word, facts: _Facts):
+    for u, v, outcome in facts.splits:
         if outcome is _LESS and not bergman_chain(u, v):
             return f"split {u}|{v}: chain violated"
 
 
-def _check_factorization(w: Word):
-    fact = _facts(w).factorization
+def _check_factorization(w: Word, facts: _Facts):
+    fact = facts.factorization
     if fact.word != w:
         return "factors do not concatenate back to the word"
     if not all(is_lyndon(f) for f in fact.factors):
@@ -449,10 +444,10 @@ def _check_factorization(w: Word):
         return f"{fact.factors} != naive {naive.factors}"
 
 
-def _check_first_factor(w: Word):
+def _check_first_factor(w: Word, facts: _Facts):
     fast = first_lyndon_factor(w)
     against_whole, against_rest = first_lyndon_factor_naive(w)
-    head = _facts(w).factorization.factors[0]
+    head = facts.factorization.factors[0]
     if not fast == against_whole == against_rest == head:
         return (
             f"first factor {fast}, prefix scans {against_whole} and {against_rest}, "
@@ -460,23 +455,23 @@ def _check_first_factor(w: Word):
         )
 
 
-def _check_last_factor(w: Word):
+def _check_last_factor(w: Word, facts: _Facts):
     fast = last_lyndon_factor(w)
     scanned = last_lyndon_factor_naive(w)
-    tail = _facts(w).factorization.factors[-1]
+    tail = facts.factorization.factors[-1]
     if not fast == scanned == tail:
         return f"last factor {fast}, suffix scan {scanned}, final factor {tail}"
 
 
-def _check_first_dominates_rest(w: Word):
-    factors = _facts(w).factorization.factors
+def _check_first_dominates_rest(w: Word, facts: _Facts):
+    factors = facts.factorization.factors
     if len(factors) >= 2:
         rest = _join(factors[1:])
         if omega_cmp(factors[0], rest).outcome is _LESS:
             return f"head {factors[0]} sits below the rest {rest}"
 
 
-def _check_left_factorization(w: Word):
+def _check_left_factorization(w: Word, facts: _Facts):
     u, v = left_standard_factorization(w)
     if not (is_lyndon(u) and is_lyndon(v)):
         return f"parts {u}|{v} are not both Lyndon"
@@ -490,14 +485,14 @@ def _check_left_factorization(w: Word):
             return f"head {v1} of the right part is not a prefix of {u}"
 
 
-def _check_right_factorization(w: Word):
+def _check_right_factorization(w: Word, facts: _Facts):
     u, v = right_standard_factorization(w)
     if not (is_lyndon(u) and is_lyndon(v)):
         return f"parts {u}|{v} are not both Lyndon"
 
 
-def _check_left_subtrees_chain(w: Word):
-    for addr, ells in _facts(w).hanging:
+def _check_left_subtrees_chain(w: Word, facts: _Facts):
+    for addr, ells in facts.hanging:
         if not all(is_lyndon(e) for e in ells):
             return f"node {addr or 'root'}: non-Lyndon hanging subtree"
         for a, b in zip(ells, ells[1:]):
@@ -505,17 +500,16 @@ def _check_left_subtrees_chain(w: Word):
                 return f"node {addr or 'root'}: {b} is not a prefix of {a}"
 
 
-def _check_left_foliage_concatenation(w: Word):
-    facts = _facts(w)
+def _check_left_foliage_concatenation(w: Word, facts: _Facts):
     for addr, ells in facts.hanging:
         # The leaves left of the node's right subtree: a prefix of w.
-        whole = left_foliage(facts.tree, addr)
+        whole = facts.labels[addr]
         if whole != _join(ells) or whole.letters != w.letters[:len(whole.letters)]:
             return f"node {addr or 'root'}: foliages do not concatenate to a prefix of the word"
 
 
-def _check_left_subtrees_order(w: Word):
-    for addr, ells in _facts(w).hanging:
+def _check_left_subtrees_order(w: Word, facts: _Facts):
+    for addr, ells in facts.hanging:
         whole = _join(ells)
         last = ells[-1]
         if len(last.letters) >= 2:
@@ -529,9 +523,8 @@ def _check_left_subtrees_order(w: Word):
                 return f"node {addr or 'root'}: dropping the tail shrank it"
 
 
-def _check_left_foliage_decreasing(w: Word):
-    facts = _facts(w)
-    labels = {addr: left_foliage(facts.tree, addr) for addr, _ in facts.hanging}
+def _check_left_foliage_decreasing(w: Word, facts: _Facts):
+    labels = facts.labels
     for addr, here in labels.items():
         for step in "LR":
             down = labels.get(addr + step)
@@ -539,9 +532,9 @@ def _check_left_foliage_decreasing(w: Word):
                 return f"label at {addr + step} is not below {addr or 'root'}"
 
 
-def _check_trees_coincide(w: Word):
+def _check_trees_coincide(w: Word, facts: _Facts):
     if not (
-        _facts(w).tree
+        facts.tree
         == left_cartesian_tree(w)
         == left_cartesian_tree_via_prefixes(w)
         == left_lyndon_tree_naive(w)
@@ -549,23 +542,23 @@ def _check_trees_coincide(w: Word):
         return "tree constructions disagree"
 
 
-def _check_tree_foliage(w: Word):
-    if foliage(_facts(w).tree) != w:
+def _check_tree_foliage(w: Word, facts: _Facts):
+    if foliage(facts.tree) != w:
         return "left tree foliage broke"
     if foliage(right_lyndon_tree(w)) != w:
         return "right tree foliage broke"
 
 
-def _always(w: Word) -> bool:
+def _always(w: Word, facts: _Facts) -> bool:
     return True
 
 
-def _when_lyndon(w: Word) -> bool:
-    return _facts(w).lyndon
+def _when_lyndon(w: Word, facts: _Facts) -> bool:
+    return facts.lyndon
 
 
-def _when_lyndon_composite(w: Word) -> bool:
-    return len(w.letters) >= 2 and _facts(w).lyndon
+def _when_lyndon_composite(w: Word, facts: _Facts) -> bool:
+    return len(w.letters) >= 2 and facts.lyndon
 
 
 _CHECKS = (
@@ -599,24 +592,21 @@ _PASSED = {name: CheckResult(name, True) for name in CHECK_NAMES}
 def verify_word(w: Word) -> VerificationReport:
     """Run every applicable cross-check on one word; a check that raises fails.
 
-    The checks share one record of the word's fast-path results, dropped
-    when the report is made, so nothing is kept from one word to the next.
+    Every predicate and check gets the word and one record of its fast-path
+    results, dropped when the report is made, so nothing is kept from one
+    word to the next.
     """
-    global _current
     ensure_nonempty(w)
+    facts = _Facts(w)
     results = []
-    _current = _Facts(w)
-    try:
-        for name, check, applies in _CHECKS:
-            if applies(w):
-                try:
-                    detail = check(w)
-                except Exception as err:
-                    detail = f"raised {type(err).__name__}: {err}"
-                if detail is None:
-                    results.append(_PASSED.get(name) or CheckResult(name, True))
-                else:
-                    results.append(CheckResult(name, False, detail))
-    finally:
-        _current = None
+    for name, check, applies in _CHECKS:
+        if applies(w, facts):
+            try:
+                detail = check(w, facts)
+            except Exception as err:
+                detail = f"raised {type(err).__name__}: {err}"
+            if detail is None:
+                results.append(_PASSED.get(name) or CheckResult(name, True))
+            else:
+                results.append(CheckResult(name, False, detail))
     return VerificationReport(w, tuple(results))

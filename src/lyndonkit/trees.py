@@ -103,8 +103,8 @@ def _brackets(tree: MagmaTree) -> tuple[list[str], list[int], list[int], list[Or
     return symbols, opens, closes, alphabets
 
 
-def _leaf_letters(tree: MagmaTree) -> list[Word]:
-    """The leaf letters, left to right, listed with an explicit stack."""
+def foliage(tree: MagmaTree) -> Word:
+    """The leaf word, left to right: one explicit-stack walk, then one O(n) join."""
     letters = []
     stack = [tree]
     while stack:
@@ -113,12 +113,7 @@ def _leaf_letters(tree: MagmaTree) -> list[Word]:
             stack += (tree.right, tree.left)
         else:
             letters.append(tree.letter)
-    return letters
-
-
-def foliage(tree: MagmaTree) -> Word:
-    """The leaf word of the tree, left to right, joined in one O(n) copy."""
-    return _join(_leaf_letters(tree))
+    return _join(letters)
 
 
 def left_standard_factorization(w: Word) -> tuple[Word, Word]:
@@ -139,14 +134,17 @@ def left_standard_factorization(w: Word) -> tuple[Word, Word]:
 def right_standard_factorization(w: Word) -> tuple[Word, Word]:
     """Split w = uv where v is the longest proper nonempty Lyndon suffix.
 
-    For a Lyndon word that suffix is also the smallest proper suffix.
+    For a Lyndon word that suffix is also the smallest proper suffix, the
+    last Duval factor of w[1:], and w is Lyndon exactly when it is below it.
     """
-    if not is_lyndon(w):
-        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    n = len(w.letters)
+    ensure_nonempty(w)
+    ls = w.letters
+    n = len(ls)
     if n < 2:
         raise TooShort("single letters have no standard factorization")
-    cut = _duval_cuts(w.letters, 1, n)[-2]  # the last Duval factor of w[1:]
+    cut = _duval_cuts(ls, 1, n)[-2]
+    if not ls < ls[cut:]:
+        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
     return w[:cut], w[cut:]
 
 
@@ -290,8 +288,7 @@ def left_foliage(tree: MagmaTree, address: str) -> Word:
 
     Its length equals the number of leaves strictly to the left of the node.
     """
-    sequence = left_subtrees_sequence(tree, address)
-    return _join([letter for sub in sequence for letter in _leaf_letters(sub)])
+    return _join([foliage(sub) for sub in left_subtrees_sequence(tree, address)])
 
 
 def internal_addresses(tree: MagmaTree) -> Iterator[str]:

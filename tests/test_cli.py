@@ -623,7 +623,7 @@ class TestVerify:
     def test_check_that_raises_fails(self, monkeypatch, pool_results, jobs, error):
         import lyndonkit.oracle
 
-        def raising(word):
+        def raising(word, facts):
             raise error
 
         checks = tuple(
@@ -668,6 +668,15 @@ class TestExitCodes:
         monkeypatch.setattr("lyndonkit.cli._parser", None)
         monkeypatch.setattr("lyndonkit.cli.cmd_pstd", broken)
         assert run_cli(["pstd", "ab"]) == (3, "", "internal error: RuntimeError: broken handler\n")
+
+    def test_violation_search_fault_is_3(self, monkeypatch):
+        # Only a disagreement inside lyndonkit leaves tree's search for u >= v empty-handed.
+        monkeypatch.setattr("lyndonkit.cli.is_lyndon", lambda word: False)
+        assert run_cli(["tree", "ab"]) == (
+            3,
+            "",
+            "internal error: AssertionError: 'ab' is a Lyndon word\n",
+        )
 
 
 class TestUsage:

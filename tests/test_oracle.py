@@ -262,14 +262,14 @@ class TestVerifyWord:
         assert [c.name for c in report.failures()] == ["y"]
 
     def test_check_detail_becomes_a_failed_result(self, monkeypatch):
-        def raising(x):
+        def raising(x, facts):
             raise IndexError("tuple index out of range")
 
         checks = (
-            ("holds", lambda x: None, lambda x: True),
-            ("breaks", lambda x: "boom", lambda x: True),
-            ("raises", raising, lambda x: True),
-            ("skipped", lambda x: "never run", lambda x: False),
+            ("holds", lambda x, facts: None, lambda x, facts: True),
+            ("breaks", lambda x, facts: "boom", lambda x, facts: True),
+            ("raises", raising, lambda x, facts: True),
+            ("skipped", lambda x, facts: "never run", lambda x, facts: False),
         )
         monkeypatch.setattr("lyndonkit.oracle._CHECKS", checks)
         assert verify_word(w("ab")).checks == (
@@ -279,12 +279,14 @@ class TestVerifyWord:
         )
 
     def test_left_foliage_must_be_a_prefix_of_the_word(self, monkeypatch):
-        # Reversing every leaf walk reverses both sides of the concatenation
+        # Reversing every foliage reverses both sides of the concatenation
         # alike, so only the prefix condition sees it.
+        import lyndonkit.oracle
         import lyndonkit.trees
 
-        real = lyndonkit.trees._leaf_letters
-        monkeypatch.setattr(lyndonkit.trees, "_leaf_letters", lambda t: real(t)[::-1])
+        real = lyndonkit.trees.foliage
+        for module in (lyndonkit.trees, lyndonkit.oracle):
+            monkeypatch.setattr(module, "foliage", lambda t: real(t)[::-1])
         failed = [c.name for c in verify_word(w("aabab")).failures()]
         assert "left-foliage-concatenation" in failed
 
@@ -403,16 +405,17 @@ class TestVerifyWord:
 
         word = w("aabab")
         unpatched = verify_word(word)
-        calls = {"left_lyndon_tree": 0, "lyndon_factorization": 0}
+        calls = {"left_lyndon_tree": 0, "lyndon_factorization": 0, "left_foliage": 0}
         for name in calls:
 
-            def counted(x, name=name, real=getattr(lyndonkit.oracle, name)):
+            def counted(*args, name=name, real=getattr(lyndonkit.oracle, name)):
                 calls[name] += 1
-                return real(x)
+                return real(*args)
 
             monkeypatch.setattr(lyndonkit.oracle, name, counted)
         assert verify_word(word) == unpatched
-        assert calls == {"left_lyndon_tree": 1, "lyndon_factorization": 1}
+        # One left foliage per internal node of the 5-leaf tree.
+        assert calls == {"left_lyndon_tree": 1, "lyndon_factorization": 1, "left_foliage": 4}
 
     def test_end_factor_scans_examples(self):
         assert first_lyndon_factor_naive(w("ababaab")) == (w("ab"), w("ab"))

@@ -1,4 +1,5 @@
 from dataclasses import make_dataclass
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -145,6 +146,17 @@ class TestRightStandardFactorization:
             right_standard_factorization(w("aa"))
         with pytest.raises(errors.TooShort):
             right_standard_factorization(w("b"))
+        # NotLyndon is raised exactly for the words is_lyndon rejects.
+        for alphabet, max_len in ((BINARY, 10), (TERNARY, 6)):
+            for n in range(2, max_len + 1):
+                for letters in product(range(len(alphabet.symbols)), repeat=n):
+                    word = Word(alphabet, letters)
+                    try:
+                        right_standard_factorization(word)
+                    except errors.NotLyndon:
+                        assert not is_lyndon(word)
+                    else:
+                        assert is_lyndon(word)
 
     def test_both_parts_lyndon(self):
         # The left remainder being Lyndon is asserted, not assumed.
