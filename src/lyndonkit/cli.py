@@ -13,7 +13,7 @@ import itertools
 import os
 import sys
 
-from .errors import LyndonKitError
+from .errors import LyndonKitError, NotLyndon
 from .lyndon import _duval_cuts, first_lyndon_factor, is_lyndon, last_lyndon_factor
 from .omega import omega_cmp, six_conditions
 from .words import Ordering, OrderedAlphabet, Word, make_word
@@ -152,17 +152,15 @@ def cmd_tree(args) -> int:
 
     alphabet = _alphabet_for(args.alphabet, args.w)
     w = make_word(args.w, alphabet)
-    if not is_lyndon(w):
-        u, v = _lyndon_violation(w)
-        print(
-            f"not Lyndon: split {u.text()}|{v.text()} has u ≥ v",
-            file=sys.stderr,
-        )
-        return 2
     # Trees are written and compared in bracket form, so no node is made.
     ranks = {"left": _left_ranks, "right": _right_ranks, "cartesian": _cartesian_ranks}
     writers = {"text": _write, "structured": _write_json, "dot": _write_dot}
-    counts = _bracket_counts(ranks[args.kind](w))
+    try:
+        counts = _bracket_counts(ranks[args.kind](w))
+    except NotLyndon:
+        u, v = _lyndon_violation(w)
+        print(f"not Lyndon: split {u.text()}|{v.text()} has u ≥ v", file=sys.stderr)
+        return 2
     # make_word accepted every character, so the input is the word's text.
     print(writers[args.format](args.w, *counts))
     if args.kind in ("left", "cartesian"):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
-from .lyndon import _duval_cuts, _lyndon_prefix_ends, is_lyndon
+from .lyndon import _duval_cuts, _lyndon_prefix_ends
 from .words import OrderedAlphabet, Word, _join, ensure_nonempty, make_word
 
 __all__ = [
@@ -190,63 +190,63 @@ def _bracket_counts(labels: Sequence[int]) -> tuple[list[int], list[int]]:
     return opens, closes
 
 
-def _block_ranks(n: int, spine: Callable[[int, int], list[int]]) -> list[int]:
-    """Labels of a tree over n letters grown from blocks [lo, hi), as cut ranks.
+def _below(ls: Sequence[int], a: int, b: int, c: int) -> bool:
+    """Whether ls[a:b] < ls[b:c], reading only as many letters as the shorter has."""
+    if ls[a] != ls[b]:
+        return ls[a] < ls[b]
+    if b - a < c - b:
+        return ls[a:b] <= ls[b:b + b - a]  # a proper prefix is below
+    return ls[a:a + c - b] < ls[b:c]
 
-    spine(lo, hi) returns cuts lo < c_1 < ... < c_m = hi of a block of two
-    or more letters; the block's tree is the left fold of the trees of its
-    parts [lo, c_1), [c_1, c_2), ..., [c_(m-1), hi).  So c_(m-1) splits the
-    block at its root, c_(m-2) its left child, and so on: ranking a block's
-    cuts from the last down, and every cut inside its parts lower still,
-    makes the tree the decreasing tree of the ranks.
+
+def _join_ranks(w: Word, ends: bool) -> list[int]:
+    """Labels of a Lyndon tree of w, as the ranks of its cuts, in one stack pass.
+
+    The stack holds the Lyndon factorization of the letters read so far,
+    one boundary per factor.  Each letter read is a new factor, and two
+    adjacent factors u, v join into the Lyndon word uv while u < v: read
+    left to right (the stack holds starts), the joins grow the left Lyndon
+    tree, and read right to left (ends), the right one.  Each join ranks its
+    cut above every cut inside its parts, so the tree is the decreasing tree
+    of the ranks.  One factor is left exactly when w is Lyndon.
     """
-    ranks = [0] * n  # ranks[k] ranks the cut before letter k
-    rank = n
-    blocks = [(0, n)]
-    # Breadth first, so a block's cuts are ranked before its parts' cuts.
-    for lo, hi in blocks:
-        if hi - lo > 1:
-            cuts = spine(lo, hi)
-            for cut in reversed(cuts[:-1]):
-                rank -= 1
-                ranks[cut] = rank
-            blocks.extend(zip([lo] + cuts, cuts))
-    return ranks[1:]
+    ensure_nonempty(w)
+    ls = w.letters
+    n = len(ls)
+    ranks = [0] * (n + 1)  # ranks[k] ranks the cut before letter k
+    rank = 0
+    stack: list[int] = []
+    for i in reversed(range(n)) if ends else range(n):
+        cut = i + 1 if ends else i
+        while stack and (
+            _below(ls, i, cut, stack[-1]) if ends else _below(ls, stack[-1], cut, i + 1)
+        ):
+            rank += 1
+            ranks[cut] = rank
+            cut = stack.pop()
+        stack.append(cut)
+    if len(stack) > 1:
+        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
+    return ranks[1:n]
 
 
 def _left_ranks(w: Word) -> list[int]:
-    """Labels of the left Lyndon tree of the Lyndon word w.
-
-    The Lyndon prefixes of a prefix u of a block are the block's Lyndon
-    prefixes shorter than u, so one prefix scan gives the whole left spine
-    of the block's tree; the Lyndon words between consecutive spine cuts
-    are the right children, scanned in turn.
-    """
-    return _block_ranks(len(w), lambda lo, hi: _lyndon_prefix_ends(w.letters, lo, hi)[0])
+    """Labels of the left Lyndon tree of w; NotLyndon unless w is Lyndon."""
+    return _join_ranks(w, False)
 
 
 def _right_ranks(w: Word) -> list[int]:
-    """Labels of the right Lyndon tree of the Lyndon word w.
-
-    A block a f_1 ... f_m, where f_1 >= ... >= f_m are the Duval factors of
-    the block without its first letter, splits before f_m, its smallest
-    proper suffix; its left part then splits before f_(m-1), and so on.  So
-    one Duval scan per block gives its whole left spine.
-    """
-    return _block_ranks(len(w), lambda lo, hi: _duval_cuts(w.letters, lo + 1, hi))
+    """Labels of the right Lyndon tree of w; NotLyndon unless w is Lyndon."""
+    return _join_ranks(w, True)
 
 
 def left_lyndon_tree(w: Word) -> MagmaTree:
     """Iterate the left standard factorization down to single letters."""
-    if not is_lyndon(w):
-        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
     return _complete(_left_ranks(w), w)
 
 
 def right_lyndon_tree(w: Word) -> MagmaTree:
     """Iterate the right standard factorization down to single letters."""
-    if not is_lyndon(w):
-        raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
     return _complete(_right_ranks(w), w)
 
 

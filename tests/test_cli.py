@@ -287,10 +287,17 @@ class TestTree:
         assert out == "((a,(a,b)),(a,b))\n"
 
     def test_not_lyndon_exits_2(self):
-        code, out, err = run_cli(["tree", "ba", "--kind", "left"])
-        assert code == 2
-        assert out == ""
-        assert err == "not Lyndon: split b|a has u ≥ v\n"
+        for kind in ("left", "right", "cartesian"):
+            code, out, err = run_cli(["tree", "ba", "--kind", kind])
+            assert code == 2, kind
+            assert out == "", kind
+            assert err == "not Lyndon: split b|a has u ≥ v\n", kind
+
+    @pytest.mark.parametrize("fmt", ["text", "structured", "dot"])
+    @pytest.mark.parametrize("kind", ["left", "right", "cartesian"])
+    def test_empty_word_exits_2(self, kind, fmt):
+        argv = ["tree", "--alphabet", "ab", "--kind", kind, "--format", fmt, ""]
+        assert run_cli(argv) == (2, "", "error: operation requires a nonempty word\n")
 
     def test_violation_names_first_bad_split(self):
         code, _, err = run_cli(["tree", "aba"])
@@ -671,7 +678,10 @@ class TestExitCodes:
 
     def test_violation_search_fault_is_3(self, monkeypatch):
         # Only a disagreement inside lyndonkit leaves tree's search for u >= v empty-handed.
-        monkeypatch.setattr("lyndonkit.cli.is_lyndon", lambda word: False)
+        def reject(word):
+            raise NotLyndon(f"{word.text()!r} is not a Lyndon word")
+
+        monkeypatch.setattr("lyndonkit.trees._left_ranks", reject)
         assert run_cli(["tree", "ab"]) == (
             3,
             "",

@@ -5,8 +5,9 @@ exhaustively on every word of up to 10 letters over ``ab`` and ``abc``, on
 the benchmark's word families (random, comb, Christoffel) at small sizes,
 and on hypothesis-drawn Lyndon words.  The deep-tree class builds trees of
 2,000-letter words, far deeper than the interpreter's recursion limit, and
-the right tree is checked on words of up to 500 letters whose blocks have
-long Duval factorizations.
+the right tree is checked on words of up to 500 letters whose right trees
+have long left spines.  The builders' stack pass is held to fewer than 2n
+comparisons on 20,000-letter words.
 The end factors are checked against the oracle's prefix and suffix scans,
 and the extension comparison and word encoding on 16,000-letter inputs.
 Every kind and format of the ``tree`` command, which writes from bracket
@@ -64,6 +65,7 @@ from lyndonkit import (
     right_standard_factorization,
     subtree_at,
 )
+from lyndonkit import trees
 from lyndonkit.cartesian import _cartesian_ranks
 from lyndonkit.cli import main
 from lyndonkit.trees import _bracket_counts, _complete, _left_ranks, _right_ranks
@@ -311,7 +313,11 @@ class TestDeepTrees:
 
 
 def right_spine_words():
-    """Lyndon words whose blocks have long Duval factorizations, up to about 500 letters."""
+    """Lyndon words whose right trees have long left spines, up to about 500 letters.
+
+    Each splits before its smallest proper suffix, its left part again
+    before that part's smallest proper suffix, and so on many times.
+    """
     out = {f"ab^{n - 1}": reversed_comb(n) for n in (2, 3, 50, 500)}
     for a, b in ((144, 89), (233, 144), (250, 1), (1, 250), (301, 199)):
         out[f"christoffel-{a}-{b}"] = christoffel(a, b)
@@ -321,10 +327,50 @@ def right_spine_words():
 
 
 class TestRightSpine:
+    """The right-to-left stack pass against splits at the smallest proper suffix."""
+
     @pytest.mark.parametrize("w", [pytest.param(w, id=k) for k, w in right_spine_words().items()])
     def test_matches_smallest_suffix_splits(self, w):
         assert is_lyndon(w)
         assert right_lyndon_tree(w) == right_tree_by_smallest_suffix(w)
+
+
+def one_pass_words():
+    """About 20,000 letters each, and a random Lyndon word."""
+    return {
+        "comb-20000": comb(20000),
+        "reversed-comb-20000": reversed_comb(20000),
+        "christoffel-12361-7639": christoffel(12361, 7639),
+        "(a^141b)^141b": Word(BINARY, ((0,) * 141 + (1,)) * 141 + (1,)),
+        "random-abc-1000": random_lyndon(random.Random(23), 1000, TERNARY),
+    }
+
+
+class TestOneStackPass:
+    """Each join, and each stop before the next letter, makes one comparison
+    of adjacent factors, so fewer than 2n comparisons mean no block is
+    scanned again."""
+
+    @pytest.mark.parametrize("ranks", [_left_ranks, _right_ranks], ids=["left", "right"])
+    @pytest.mark.parametrize("w", [pytest.param(w, id=k) for k, w in one_pass_words().items()])
+    def test_fewer_than_2n_comparisons(self, monkeypatch, w, ranks):
+        real = trees._below
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(trees, "_below", counted)
+        assert len(ranks(w)) == len(w) - 1
+        assert calls < 2 * len(w)
+
+    def test_comparison_agrees_with_whole_slices(self):
+        for n in range(2, 8):
+            for ls in itertools.product(range(3), repeat=n):
+                for a, b, c in itertools.combinations(range(n + 1), 3):
+                    assert trees._below(ls, a, b, c) == (ls[a:b] < ls[b:c]), (ls, a, b, c)
 
 
 def write_by_stack(tree, opening: str, separator: str, closing: str, leaf) -> str:

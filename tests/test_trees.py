@@ -189,6 +189,24 @@ class TestLyndonTrees:
             left_lyndon_tree(w("ba"))
         with pytest.raises(errors.NotLyndon):
             right_lyndon_tree(w("bab"))
+        # Each builder's stack pass decides Lyndon-ness: NotLyndon is raised
+        # exactly for the words is_lyndon rejects.
+        for alphabet, max_len in ((BINARY, 10), (TERNARY, 6)):
+            for n in range(2, max_len + 1):
+                for letters in product(range(len(alphabet.symbols)), repeat=n):
+                    word = Word(alphabet, letters)
+                    for build in (left_lyndon_tree, right_lyndon_tree):
+                        try:
+                            build(word)
+                        except errors.NotLyndon:
+                            assert not is_lyndon(word), (build.__name__, word)
+                        else:
+                            assert is_lyndon(word), (build.__name__, word)
+
+    def test_empty_word_rejected(self):
+        for build in (left_lyndon_tree, right_lyndon_tree):
+            with pytest.raises(errors.EmptyWord):
+                build(Word(BINARY, ()))
 
     def test_right_tree_matches_definitional_recursion(self):
         def brute(word):
