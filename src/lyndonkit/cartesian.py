@@ -77,7 +77,11 @@ def _z_array(ls: tuple[int, ...]) -> list[int]:
     z[0] = n
     lo = hi = 0  # ls[lo:hi] is a copy of ls[:hi - lo], hi as large as found so far
     for i in range(1, n):
-        k = min(z[i - lo], hi - i) if i < hi else 0
+        k = 0
+        if i < hi:
+            k = z[i - lo]
+            if k > hi - i:
+                k = hi - i
         while i + k < n and ls[k] == ls[i + k]:
             k += 1
         z[i] = k
@@ -86,8 +90,8 @@ def _z_array(ls: tuple[int, ...]) -> list[int]:
     return z
 
 
-def prefix_standard_permutation(w: Word) -> PrefixStandard:
-    """Rank every nonempty prefix of w under prec_cmp.
+def _prefix_ranks(w: Word) -> tuple[list[int], list[int]]:
+    """sigma and inverse of prefix_standard_permutation(w), as lists.
 
     Prefixes p_i, p_j with i < j compare in the extension order as p_i p_j
     against p_j p_i.  Both words start with p_i, so the comparison reads
@@ -117,6 +121,13 @@ def prefix_standard_permutation(w: Word) -> PrefixStandard:
     sigma = [0] * n
     for rank, length in enumerate(by_rank, start=1):
         sigma[length - 1] = rank
+    return sigma, by_rank
+
+
+def prefix_standard_permutation(w: Word) -> PrefixStandard:
+    """Rank every nonempty prefix of w under prec_cmp, by one comparison
+    sort whose comparisons are Z-array lookups (see _prefix_ranks)."""
+    sigma, by_rank = _prefix_ranks(w)
     return PrefixStandard(tuple(sigma), tuple(by_rank))
 
 
@@ -205,10 +216,10 @@ def completion(skeleton: DecreasingTree, w: Word) -> MagmaTree:
 
 def _cartesian_ranks(w: Word) -> tuple[int, ...]:
     """The ranks of the proper prefixes of the Lyndon word w: see left_cartesian_tree."""
-    sigma = prefix_standard_permutation(w).sigma
-    if sigma[-1] != len(sigma):
+    sigma = _prefix_ranks(w)[0]
+    if sigma.pop() != len(w.letters):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
-    return sigma[:-1]
+    return tuple(sigma)
 
 
 def left_cartesian_tree(w: Word) -> MagmaTree:

@@ -138,7 +138,11 @@ def _lyndon_violation(w: Word) -> tuple[Word, Word]:
     n = len(ls)
     z = _z_array(ls)
     for i in range(1, n):
-        k = min(z[i], i, n - i)
+        k = z[i]
+        if k > i:
+            k = i
+        if k > n - i:
+            k = n - i
         # v is a prefix of u (u >= v), u a proper prefix of v (u < v), or
         # the two first differ at offset k.
         if k == n - i or (k < i and ls[k] > ls[i + k]):

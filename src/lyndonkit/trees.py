@@ -176,17 +176,26 @@ def _complete(labels: Sequence[int], w: Word) -> MagmaTree:
 
 
 def _bracket_counts(labels: Sequence[int]) -> tuple[list[int], list[int]]:
-    """opens and closes of _complete(labels, w): its stack pass, with each
-    subtree given as its span (first leaf, last leaf), so no node is made."""
+    """opens and closes of _complete(labels, w), with no node made.
+
+    The node of a label spans the leaves between the nearest larger labels
+    on either side, so one all-nearest-larger stack pass finds both: the
+    node opens at the leaf just right of the larger label on its left and
+    closes at the leaf just left of the one that pops it.  Nodes never
+    popped close at the last leaf.
+    """
     n = len(labels) + 1
     opens, closes = [0] * n, [0] * n
-
-    def join(label: int, left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int]:
-        opens[left[0]] += 1
-        closes[right[1]] += 1
-        return left[0], right[1]
-
-    _stack_build(labels, zip(range(n), range(n)), join)
+    fenced = [float("inf"), *labels]  # fenced[k] lies between leaves k - 1 and k
+    stack = [0]  # indices into fenced, their labels decreasing
+    for k in range(1, n):
+        label = fenced[k]
+        while fenced[stack[-1]] < label:
+            stack.pop()
+            closes[k - 1] += 1
+        opens[stack[-1]] += 1
+        stack.append(k)
+    closes[-1] += len(stack) - 1
     return opens, closes
 
 
@@ -324,25 +333,29 @@ def _write_json(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[i
 def _write_dot(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[int]) -> str:
     """render_dot's text from a bracket form.  Leaf i follows its opens[i]
     nodes in pre-order.  After its closes[i] nodes complete, the open node
-    on top has a complete left subtree: its right child enters next, and its
-    label, the left foliage, is the first i + 1 letters."""
+    on top has a complete left subtree: its label, the left foliage, is the
+    first i + 1 letters, and its right child is the next node entered.
+    These edges turn up in in-order and are written in pre-order."""
     escaped = [s.replace("\\", "\\\\").replace('"', '\\"') for s in symbols]
     text = "".join(escaped)
-    spans: list[tuple[int, int]] = []  # each label as a slice of text
-    right: list[int] = []  # pre-order id of the right child; -1 for a leaf
+    labels: list[str] = []  # by pre-order id
+    edges: list[tuple[int, int]] = []  # (node, its right child)
     stack: list[int] = []  # ids of the nodes entered and not yet complete
     end = 0
     for symbol, o, c in zip(escaped, opens, closes):
-        stack += range(len(spans), len(spans) + o)
-        spans += [(0, 0)] * o + [(end, end + len(symbol))]
-        right += [-1] * (o + 1)
+        if o:
+            stack += range(len(labels), len(labels) + o)
+            labels += [""] * o
+        labels.append(symbol)
         end += len(symbol)
-        del stack[len(stack) - c:]
+        if c:
+            del stack[-c:]
         if stack:
-            spans[stack[-1]] = (0, end)
-            right[stack[-1]] = len(spans)
-    lines = [f'  n{me} [label="{text[start:stop]}"];' for me, (start, stop) in enumerate(spans)]
-    lines += [f"  n{me} -> n{me + 1};\n  n{me} -> n{c};" for me, c in enumerate(right) if c >= 0]
+            labels[stack[-1]] = text[:end]
+            edges.append((stack[-1], len(labels)))
+    edges.sort()
+    lines = [f'  n{me} [label="{label}"];' for me, label in enumerate(labels)]
+    lines += [f"  n{me} -> n{me + 1};\n  n{me} -> n{c};" for me, c in edges]
     return "\n".join(["digraph {", *lines, "}"])
 
 

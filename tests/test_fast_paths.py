@@ -13,7 +13,9 @@ and the extension comparison and word encoding on 16,000-letter inputs.
 Every kind and format of the ``tree`` command, which writes from bracket
 counts and makes no ``Node``, is checked against explicit-stack writers of
 the builders' trees, and ``factorize``, which prints from Duval's cuts,
-against the library's factorization.  The extension comparison is checked
+against the library's factorization.  The bracket counts are checked
+against the built tree's on every permutation of up to 7 labels, and the
+Z-array against its definition.  The extension comparison is checked
 on pairs whose lengths and changed letters sit at its phase and window
 boundaries.
 """
@@ -66,9 +68,9 @@ from lyndonkit import (
     subtree_at,
 )
 from lyndonkit import trees
-from lyndonkit.cartesian import _cartesian_ranks
+from lyndonkit.cartesian import _cartesian_ranks, _z_array
 from lyndonkit.cli import main
-from lyndonkit.trees import _bracket_counts, _complete, _left_ranks, _right_ranks
+from lyndonkit.trees import _bracket_counts, _brackets, _complete, _left_ranks, _right_ranks
 
 from .strategies import BINARY, TERNARY, words
 
@@ -486,6 +488,51 @@ class TestTreeCommand:
         monkeypatch.setattr(Node, "__init__", refuse)
         for (w, kind, fmt), out in expected.items():
             assert run_tree(w, kind, fmt) == (0, out, ""), (w, kind, fmt)
+
+
+class TestBracketCounts:
+    """The nearest-larger stack pass against the bracket form of the built tree."""
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_every_permutation(self, k):
+        # Every binary tree of k + 1 leaves is the decreasing tree of some
+        # permutation here, whether or not a Lyndon word has that tree.
+        w = comb(k + 1)
+        for labels in itertools.permutations(range(1, k + 1)):
+            assert _bracket_counts(labels) == _brackets(_complete(labels, w))[1:3], labels
+
+    @pytest.mark.parametrize("w", [pytest.param(w, id=k) for k, w in long_tree_words().items()])
+    def test_rank_labels(self, w):
+        for ranks in (_left_ranks, _right_ranks, _cartesian_ranks):
+            labels = ranks(w)
+            assert _bracket_counts(labels) == _brackets(_complete(labels, w))[1:3], ranks
+
+
+def z_by_slices(ls) -> list[int]:
+    """z[i] by its definition: the length of the common prefix of ls and ls[i:]."""
+    return [
+        next((k for k, (a, b) in enumerate(zip(ls, ls[i:])) if a != b), len(ls) - i)
+        for i in range(len(ls))
+    ]
+
+
+class TestPrefixRanks:
+    """The Z-array, and the Cartesian ranks read from it without a PrefixStandard."""
+
+    @pytest.mark.parametrize("alphabet, max_len", [(BINARY, 10), (TERNARY, 7)], ids=["ab", "abc"])
+    def test_every_word(self, alphabet, max_len):
+        for w in all_words(alphabet, max_len):
+            assert _z_array(w.letters) == z_by_slices(w.letters), w
+            if is_lyndon(w):
+                assert _cartesian_ranks(w) == prefix_standard_permutation(w).sigma[:-1], w
+            else:
+                with pytest.raises(errors.NotLyndon):
+                    _cartesian_ranks(w)
+
+    @pytest.mark.parametrize("w", [comb(2000), christoffel(1237, 763)], ids=["comb", "christoffel"])
+    def test_long_words(self, w):
+        assert _z_array(w.letters) == z_by_slices(w.letters)
+        assert _cartesian_ranks(w) == prefix_standard_permutation(w).sigma[:-1]
 
 
 class TestDeepCombTree:
