@@ -14,9 +14,9 @@ import os
 import sys
 
 from .errors import LyndonKitError, NotLyndon
-from .lyndon import _duval_cuts, first_lyndon_factor, is_lyndon, last_lyndon_factor
+from .lyndon import _duval_cuts, is_lyndon
 from .omega import omega_cmp, six_conditions
-from .words import Ordering, OrderedAlphabet, Word, make_word
+from .words import Ordering, OrderedAlphabet, Word, ensure_nonempty, make_word
 
 # compare and factorize run on the modules above.  The tree, Cartesian and
 # oracle modules, and json, are imported by the commands that use them.
@@ -77,18 +77,8 @@ def cmd_factorize(args) -> int:
     text = args.w
     alphabet = _alphabet_for(args.alphabet, text)
     w = make_word(text, alphabet)
-    n = len(w.letters)
-    cuts = _duval_cuts(w.letters, 0, n)
-    first = first_lyndon_factor(w)
-    last = last_lyndon_factor(w)
-    # The end factors are a prefix and a suffix of w, so equal lengths mean equal factors.
-    if len(first.letters) != cuts[1] or len(last.letters) != n - cuts[-2]:
-        print(
-            f"cross-check failed on {text!r}: "
-            f"ends {first.text()},{last.text()} vs factorization",
-            file=sys.stderr,
-        )
-        return 1
+    ensure_nonempty(w)
+    cuts = _duval_cuts(w.letters, 0, len(w.letters))
     # The factors tile w, so each one's text is a slice of the input.
     factors = [text[a:b] for a, b in zip(cuts, cuts[1:])]
     if args.format == "structured":
@@ -102,7 +92,7 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-def _format_perm(values: tuple[int, ...]) -> str:
+def _format_perm(values: list[int]) -> str:
     # Digit string while unambiguous, comma-separated past rank 9.
     if len(values) <= 9:
         return "".join(str(v) for v in values)
@@ -110,18 +100,17 @@ def _format_perm(values: tuple[int, ...]) -> str:
 
 
 def cmd_pstd(args) -> int:
-    from .cartesian import prefix_standard_permutation
+    from .cartesian import _prefix_ranks
 
     alphabet = _alphabet_for(args.alphabet, args.w)
-    w = make_word(args.w, alphabet)
-    ranks = prefix_standard_permutation(w)
+    sigma, inverse = _prefix_ranks(make_word(args.w, alphabet))
     if args.format == "structured":
         import json
 
-        print(json.dumps({"sigma": list(ranks.sigma), "inverse": list(ranks.inverse)}))
+        print(json.dumps({"sigma": sigma, "inverse": inverse}))
         return 0
-    print(_format_perm(ranks.sigma))
-    print(f"inverse: {_format_perm(ranks.inverse)}")
+    print(_format_perm(sigma))
+    print(f"inverse: {_format_perm(inverse)}")
     return 0
 
 

@@ -225,9 +225,9 @@ def test_10_cli_contract(monkeypatch):
     fixtures.append(code == 2)
 
     with monkeypatch.context() as m:
-        m.setattr("lyndonkit.cli.first_lyndon_factor", lambda word: word)
-        code, _, err = run_cli(["factorize", "ababaab"])
-        fixtures.append(code == 1 and "cross-check failed" in err)
+        m.setattr("lyndonkit.trees._left_ranks", lambda word: list(range(1, len(word))))
+        code, out, _ = run_cli(["tree", "aabab", "--kind", "cartesian"])
+        fixtures.append(code == 1 and out.endswith("left == cartesian: different\n"))
 
     note = f"{sum(fixtures)}/{len(fixtures)} fixtures"
     _report(10, "cli-contract", all(fixtures), note)

@@ -222,18 +222,23 @@ class TestFactorize:
         doc = json.loads(out)
         assert doc == {"factors": ["ab", "ab", "aab"], "first": "ab", "last": "aab"}
 
-    def test_cross_check_failure_exits_1(self, monkeypatch):
-        monkeypatch.setattr("lyndonkit.cli.first_lyndon_factor", lambda word: word)
-        code, out, err = run_cli(["factorize", "ababaab"])
-        assert code == 1
-        assert out == ""
-        assert "cross-check failed" in err
+    def test_one_duval_scan(self, monkeypatch):
+        # The printed factors are the whole computation: no second scan re-derives the ends.
+        import lyndonkit.lyndon
 
-    def test_last_factor_cross_check_failure_exits_1(self, monkeypatch):
-        monkeypatch.setattr("lyndonkit.cli.last_lyndon_factor", lambda word: word[1:])
-        code, out, err = run_cli(["factorize", "ababaab", "--format", "structured"])
-        assert (code, out) == (1, "")
-        assert err == "cross-check failed on 'ababaab': ends ab,babaab vs factorization\n"
+        calls = []
+        real = lyndonkit.lyndon._lyndon_prefix_ends
+
+        def counted(ls, lo, hi):
+            calls.append((lo, hi))
+            return real(ls, lo, hi)
+
+        monkeypatch.setattr(lyndonkit.lyndon, "_lyndon_prefix_ends", counted)
+        lyndonkit.lyndon._duval_cuts(make_word("ababaab", BINARY).letters, 0, 7)
+        scan = list(calls)
+        calls.clear()
+        assert run_cli(["factorize", "ababaab"])[0] == 0
+        assert calls == scan
 
 
 class TestPstd:
@@ -666,6 +671,12 @@ class TestExitCodes:
 
     def test_bad_input_is_2(self):
         assert run_cli(["pstd", "abx", "--alphabet", "ab"])[0] == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command", ["factorize", "pstd"])
+    def test_empty_word_is_2(self, command, fmt):
+        argv = [command, "--alphabet", "ab", "--format", fmt, ""]
+        assert run_cli(argv) == (2, "", "error: operation requires a nonempty word\n")
 
     def test_internal_error_is_3(self, monkeypatch):
         def broken(args):
