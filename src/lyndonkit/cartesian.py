@@ -1,32 +1,29 @@
-"""Prefix ranking of a word and the Cartesian-style tree built from it.
+"""Prefix ranking of a word and the left Cartesian tree built from it.
 
 Words are ordered by their periodic extensions, with the longer word
 winning ties, so a square sits strictly below its root.  Ranking all
 nonempty prefixes of a word by this order gives a permutation; for a
 Lyndon word, the decreasing tree of that permutation (minus its final,
 maximal entry), completed with the letters as leaves, reproduces the left
-Lyndon tree.
+Lyndon tree (Ufnarovskij's characterization makes the same ranks the
+Lyndon test).  No decreasing tree is made: one stack pass over the ranks
+builds the completed tree directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Sequence
 
-from .errors import DuplicateEntry, EmptySequence, NotLyndon, SizeMismatch
+from .errors import NotLyndon
 from .omega import omega_cmp
-from .trees import MagmaTree, _complete, _stack_build
+from .trees import MagmaTree, _complete
 from .words import Ordering, Word, ensure_nonempty
 
 __all__ = [
     "PrefixStandard",
-    "DecreasingTree",
     "prec_cmp",
     "prefix_standard_permutation",
-    "decreasing_tree",
-    "in_order_labels",
-    "completion",
     "left_cartesian_tree",
 ]
 
@@ -129,89 +126,6 @@ def prefix_standard_permutation(w: Word) -> PrefixStandard:
     sort whose comparisons are Z-array lookups (see _prefix_ranks)."""
     sigma, by_rank = _prefix_ranks(w)
     return PrefixStandard(tuple(sigma), tuple(by_rank))
-
-
-@dataclass(frozen=True, eq=False)
-class DecreasingTree:
-    """Binary tree of an injective integer sequence, largest label on top.
-
-    Equality, hashing and repr walk the tree with an explicit stack, so no
-    tree depth can exhaust the interpreter's recursion limit.
-    """
-
-    label: int
-    left: "DecreasingTree | None" = None
-    right: "DecreasingTree | None" = None
-
-    def __post_init__(self) -> None:
-        for child in (self.left, self.right):
-            if child is not None and child.label >= self.label:
-                raise ValueError("child labels must be strictly smaller than the parent")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # Every label is above all labels below it, so each subtree's root
-        # is its unique maximum and the in-order labels fix the tree, even
-        # when one label appears in different subtrees.
-        return in_order_labels(self) == in_order_labels(other)
-
-    def __hash__(self) -> int:
-        return hash(in_order_labels(self))
-
-    def __repr__(self) -> str:
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif item is None:
-                out.append("None")
-            else:
-                out.append(f"{type(item).__qualname__}(label={item.label!r}, left=")
-                stack += (")", item.right, ", right=", item.left)
-        return "".join(out)
-
-
-def decreasing_tree(alpha: Sequence[int]) -> DecreasingTree:
-    """The maximum becomes the root, the entries on each side its subtrees."""
-    entries = tuple(alpha)
-    if not entries:
-        raise EmptySequence("an empty sequence has no decreasing tree")
-    if len(set(entries)) != len(entries):
-        raise DuplicateEntry(f"entries are not pairwise distinct: {entries}")
-    return _stack_build(entries, [None] * (len(entries) + 1), DecreasingTree)
-
-
-def in_order_labels(tree: DecreasingTree | None) -> tuple[int, ...]:
-    """Left-to-right projection; inverts decreasing_tree."""
-    labels = []
-    stack: list[DecreasingTree] = []
-    while stack or tree is not None:
-        while tree is not None:
-            stack.append(tree)
-            tree = tree.left
-        tree = stack.pop()
-        labels.append(tree.label)
-        tree = tree.right
-    return tuple(labels)
-
-
-def completion(skeleton: DecreasingTree, w: Word) -> MagmaTree:
-    """The unique complete tree with the skeleton as its internal nodes.
-
-    In-order positions interleave leaves and internal nodes, so a skeleton
-    of n nodes needs exactly the n + 1 letters of w as leaves.  The
-    skeleton is the decreasing tree of its in-order labels, so rebuilding
-    it from them with letters in the empty slots completes it.
-    """
-    labels = in_order_labels(skeleton)
-    if len(labels) != len(w.letters) - 1:
-        raise SizeMismatch(
-            f"skeleton has {len(labels)} nodes but the word has {len(w.letters)} letters"
-        )
-    return _complete(labels, w)
 
 
 def _cartesian_ranks(w: Word) -> tuple[int, ...]:

@@ -24,14 +24,6 @@ class EmptyWord(LyndonKitError):
     """The operation needs a nonempty word."""
 
 
-class EmptyBase(LyndonKitError):
-    """Fractional powers need a nonempty base word."""
-
-
-class OmegaEqual(LyndonKitError):
-    """The periodic extensions coincide, so no comparison position exists."""
-
-
 class PreconditionFailed(LyndonKitError):
     pass
 
@@ -48,16 +40,8 @@ class BadAddress(LyndonKitError):
     """A node address does not resolve to an internal node."""
 
 
-class DuplicateEntry(LyndonKitError):
-    """Decreasing trees are defined for injective sequences only."""
-
-
 class EmptySequence(LyndonKitError):
     pass
-
-
-class SizeMismatch(LyndonKitError):
-    """Completion needs exactly one more leaf than internal nodes."""
 
 
 class UniquenessViolation(LyndonKitError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import OmegaEqual, PreconditionFailed
+from .errors import PreconditionFailed
 from .words import (
     Ordering,
     Word,
@@ -26,7 +26,6 @@ __all__ = [
     "SixConditions",
     "omega_cmp",
     "omega_mismatch_position",
-    "comparison_within_first_factor",
     "six_conditions",
     "bergman_chain",
 ]
@@ -195,18 +194,6 @@ def _omega_order(a: tuple[int, ...], b: tuple[int, ...]) -> Ordering:
 def omega_mismatch_position(u: Word, v: Word) -> int | None:
     """1-based first position where the two extensions differ, None if never."""
     return omega_cmp(u, v).mismatch_position
-
-
-def comparison_within_first_factor(u: Word, v: Word) -> bool:
-    """Whether the extensions already differ inside the leading copy of v.
-
-    True exactly when the mismatch position is at most |v|, which in turn
-    holds exactly when v is not a fractional power of u.
-    """
-    cmp = omega_cmp(u, v)
-    if cmp.outcome is _EQUAL:
-        raise OmegaEqual("the extensions coincide, no comparison position exists")
-    return cmp.mismatch_position <= len(v.letters)
 
 
 def six_conditions(u: Word, v: Word) -> SixConditions:

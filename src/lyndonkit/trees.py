@@ -7,18 +7,19 @@ left (or right) standard factorization of a Lyndon word grows such a tree.
 Internal nodes are addressed by strings over 'L' and 'R' describing the
 path from the root.  A tree's text form, (l,r) with letters as leaves, its
 JSON form of nested {"l": ..., "r": ...} and {"leaf": ...} objects and its
-DOT form are all written from its bracket form (see _brackets).
+DOT form are all written from its bracket form (see _brackets), which the
+tree command reads straight off the ranks, with no node made.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
 from .lyndon import _duval_cuts, _lyndon_prefix_ends
-from .words import OrderedAlphabet, Word, _join, ensure_nonempty, make_word
+from .words import OrderedAlphabet, Word, _join, ensure_nonempty
 
 __all__ = [
     "Leaf",
@@ -32,10 +33,7 @@ __all__ = [
     "left_subtrees_sequence",
     "left_foliage",
     "internal_addresses",
-    "subtree_at",
     "format_tree",
-    "parse_tree",
-    "render_dot",
 ]
 
 
@@ -148,31 +146,28 @@ def right_standard_factorization(w: Word) -> tuple[Word, Word]:
     return w[:cut], w[cut:]
 
 
-def _stack_build(labels: Iterable[int], gaps: Iterable, join: Callable):
-    """Decreasing tree of distinct labels, built in one stack pass.
+def _complete(labels: Sequence[int], w: Word) -> MagmaTree:
+    """The decreasing tree of distinct labels, with the letters of w in its
+    empty slots, built in one stack pass.
 
     The stack holds a decreasing run of labels, each with its finished left
     subtree.  A larger label pops the smaller ones, and each popped label
-    becomes the right subtree of the one under it.  The k-th gap fills the
-    empty slot just left of labels[k], and one more gap the last slot;
-    join(label, left, right) makes a node.  A last label above all others
-    pops the stack into one tree.
+    becomes a node over its left subtree and the tree finished after it.
+    Letter k fills the empty slot just left of labels[k], and the last
+    letter the last slot.  A last label above all others pops the stack
+    into one tree.
     """
-    tops, lefts = [], []
-    for label, sub in zip(itertools.chain(labels, [float("inf")]), gaps):
-        while tops and tops[-1] < label:
-            sub = join(tops.pop(), lefts.pop(), sub)
-        tops.append(label)
-        lefts.append(sub)
-    return lefts[0]
-
-
-def _complete(labels: Sequence[int], w: Word) -> MagmaTree:
-    """The decreasing tree of labels, with the letters of w in its empty slots."""
     # The labels fix the shape; equal letters share one Leaf object.
     shared = {x: Leaf(Word(w.alphabet, (x,))) for x in set(w.letters)}
     leaves = [shared[x] for x in w.letters]
-    return _stack_build(labels, leaves, lambda label, left, right: Node(left, right))
+    tops, lefts = [], []
+    for label, sub in zip(itertools.chain(labels, [float("inf")]), leaves):
+        while tops and tops[-1] < label:
+            tops.pop()
+            sub = Node(lefts.pop(), sub)
+        tops.append(label)
+        lefts.append(sub)
+    return lefts[0]
 
 
 def _bracket_counts(labels: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -259,8 +254,12 @@ def right_lyndon_tree(w: Word) -> MagmaTree:
     return _complete(_right_ranks(w), w)
 
 
-def _walk(tree: MagmaTree, address: str) -> tuple[MagmaTree, list[MagmaTree]]:
-    """The addressed subtree, and the left subtrees hanging off the path to it."""
+def left_subtrees_sequence(tree: MagmaTree, address: str) -> tuple[MagmaTree, ...]:
+    """Subtrees hanging off to the left of the path to the addressed node.
+
+    The sequence ends with the addressed node's own left subtree, so the
+    address must land on an internal node.
+    """
     if any(step not in "LR" for step in address):
         raise BadAddress(f"address {address!r} must use only 'L' and 'R'")
     hanging = []
@@ -272,24 +271,9 @@ def _walk(tree: MagmaTree, address: str) -> tuple[MagmaTree, list[MagmaTree]]:
         else:
             hanging.append(tree.left)
             tree = tree.right
-    return tree, hanging
-
-
-def subtree_at(tree: MagmaTree, address: str) -> MagmaTree:
-    """The subtree rooted at the addressed node."""
-    return _walk(tree, address)[0]
-
-
-def left_subtrees_sequence(tree: MagmaTree, address: str) -> tuple[MagmaTree, ...]:
-    """Subtrees hanging off to the left of the path to the addressed node.
-
-    The sequence ends with the addressed node's own left subtree, so the
-    address must land on an internal node.
-    """
-    node, hanging = _walk(tree, address)
-    if isinstance(node, Leaf):
+    if isinstance(tree, Leaf):
         raise BadAddress(f"address {address!r} does not reach an internal node")
-    return (*hanging, node.left)
+    return (*hanging, tree.left)
 
 
 def left_foliage(tree: MagmaTree, address: str) -> Word:
@@ -331,11 +315,16 @@ def _write_json(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[i
 
 
 def _write_dot(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[int]) -> str:
-    """render_dot's text from a bracket form.  Leaf i follows its opens[i]
-    nodes in pre-order.  After its closes[i] nodes complete, the open node
-    on top has a complete left subtree: its label, the left foliage, is the
-    first i + 1 letters, and its right child is the next node entered.
-    These edges turn up in in-order and are written in pre-order."""
+    """The DOT digraph of a bracket form, with pre-order node ids.
+
+    Internal nodes are labeled with their left foliage, leaves with their
+    letter, so the text is byte-stable for a given tree.  Leaf i follows
+    its opens[i] nodes in pre-order.  After its closes[i] nodes complete,
+    the open node on top has a complete left subtree: its label, the left
+    foliage, is the first i + 1 letters, and its right child is the next
+    node entered.  These edges turn up in in-order and are written in
+    pre-order.
+    """
     escaped = [s.replace("\\", "\\\\").replace('"', '\\"') for s in symbols]
     text = "".join(escaped)
     labels: list[str] = []  # by pre-order id
@@ -362,45 +351,3 @@ def _write_dot(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[in
 def format_tree(tree: MagmaTree) -> str:
     """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
     return _write(*_brackets(tree)[:3])
-
-
-def parse_tree(text: str, alphabet: OrderedAlphabet) -> MagmaTree:
-    """Inverse of format_tree.  Raises ValueError on malformed input."""
-    # One left-to-right scan.  Each open node on the stack holds None while
-    # its left subtree is read, then that subtree while its right one is.
-    pending: list[MagmaTree | None] = []
-    at = 0
-    while True:
-        if at >= len(text):
-            raise ValueError("unexpected end of tree text")
-        if text[at] == "(":
-            pending.append(None)
-            at += 1
-            continue
-        if text[at] in "),":
-            raise ValueError(f"unexpected {text[at]!r} at offset {at}")
-        tree: MagmaTree = Leaf(make_word(text[at], alphabet))
-        at += 1
-        while pending and pending[-1] is not None:
-            if at >= len(text) or text[at] != ")":
-                raise ValueError(f"expected ')' at offset {at}")
-            tree = Node(pending.pop(), tree)
-            at += 1
-        if not pending:
-            break
-        if at >= len(text) or text[at] != ",":
-            raise ValueError(f"expected ',' at offset {at}")
-        pending[-1] = tree
-        at += 1
-    if at != len(text):
-        raise ValueError(f"trailing input at offset {at}")
-    return tree
-
-
-def render_dot(tree: MagmaTree) -> str:
-    """DOT digraph with pre-order node ids.
-
-    Internal nodes are labeled with their left foliage, leaves with
-    their letter, so the output is byte-stable for a given tree.
-    """
-    return _write_dot(*_brackets(tree)[:3])

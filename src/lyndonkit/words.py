@@ -1,4 +1,4 @@
-"""Ordered alphabets, finite words over them, and the period/power toolbox.
+"""Ordered alphabets, finite words over them, their encoding, order and splits.
 
 A word stores alphabet ranks instead of raw characters, so the declared
 symbol order is baked in at construction time and every later comparison is
@@ -11,25 +11,16 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import AlphabetMismatch, EmptyBase, EmptyWord, UnknownSymbol
-
-if TYPE_CHECKING:  # fractions loads only where a Fraction is made
-    from fractions import Fraction
+from .errors import AlphabetMismatch, EmptyWord, UnknownSymbol
 
 __all__ = [
     "Ordering",
     "OrderedAlphabet",
     "Word",
-    "FractionalExponent",
     "make_word",
     "lex_cmp",
-    "borders",
-    "nontrivial_periods",
-    "fractional_power_of",
-    "primitive_root",
     "nontrivial_splits",
     "iter_all_words",
 ]
@@ -73,10 +64,6 @@ class OrderedAlphabet:
             self._encoding = dict.fromkeys(range(n), 256)
             self._encoding.update(zip(map(ord, syms), range(n)))
             self._ranks = bytes(range(n))
-
-    def reversed(self) -> "OrderedAlphabet":
-        """The same symbols under the opposite order."""
-        return OrderedAlphabet(self.symbols[::-1])
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -166,37 +153,6 @@ class Word:
         return f"Word({self.text()!r})"
 
 
-@dataclass(frozen=True)
-class FractionalExponent:
-    """Exponent of a fractional power: whole copies plus a reduced remainder.
-
-    The remainder num/den satisfies 0 <= num/den < 1 with gcd(num, den) = 1.
-    The power is strict exactly when it contains at least one whole copy of
-    the base.
-    """
-
-    whole: int
-    num: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.whole < 0 or self.den <= 0 or not 0 <= self.num < self.den:
-            raise ValueError("need whole >= 0 and 0 <= num/den < 1")
-        from fractions import Fraction
-
-        if Fraction(self.num, self.den).numerator != self.num:
-            raise ValueError(f"{self.num}/{self.den} is not reduced")
-
-    @property
-    def strict(self) -> bool:
-        return self.whole >= 1
-
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        return self.whole + Fraction(self.num, self.den)
-
-
 def ensure_nonempty(word: Word) -> None:
     if len(word.letters) == 0:
         raise EmptyWord("operation requires a nonempty word")
@@ -253,44 +209,6 @@ def lex_cmp(u: Word, v: Word) -> Ordering:
     return Ordering.LESS if u.letters < v.letters else Ordering.GREATER
 
 
-def borders(w: Word) -> list[Word]:
-    """Nonempty proper prefixes of w that are also suffixes, shortest first."""
-    ensure_nonempty(w)
-    ls = w.letters
-    n = len(ls)
-    return [Word(w.alphabet, ls[:k]) for k in range(1, n) if ls[:k] == ls[n - k:]]
-
-
-def nontrivial_periods(w: Word) -> list[int]:
-    """Shifts 0 < p < |w| under which w agrees with itself, ascending.
-
-    p is a period exactly when w has a border of length |w| - p.
-    """
-    ensure_nonempty(w)
-    ls = w.letters
-    n = len(ls)
-    return [p for p in range(1, n) if ls[p:] == ls[:n - p]]
-
-
-def fractional_power_of(v: Word, u: Word) -> FractionalExponent | None:
-    """The exponent r with v = u^r, if v is a prefix of the periodic extension of u.
-
-    An empty v is the zeroth power.  Returns None when v falls off the
-    extension of u.
-    """
-    ensure_same_alphabet(v, u)
-    base = u.letters
-    if len(base) == 0:
-        raise EmptyBase("the base of a fractional power must be nonempty")
-    if any(x != base[i % len(base)] for i, x in enumerate(v.letters)):
-        return None
-    from fractions import Fraction
-
-    whole, rem = divmod(len(v.letters), len(base))
-    part = Fraction(rem, len(base))
-    return FractionalExponent(whole, part.numerator, part.denominator)
-
-
 def _root_length(ls: tuple[int, ...]) -> int:
     """Length of the primitive root of a nonempty letter tuple."""
     n = len(ls)
@@ -300,14 +218,6 @@ def _root_length(ls: tuple[int, ...]) -> int:
         if n % d == 0 and ls[d:2 * d] == ls[:min(d, n - d)] and ls[:d] * (n // d) == ls:
             return d
     raise AssertionError("unreachable: every word is a power of itself")
-
-
-def primitive_root(w: Word) -> tuple[Word, int]:
-    """The shortest word x and the exponent e >= 1 with w = x^e."""
-    ensure_nonempty(w)
-    ls = w.letters
-    d = _root_length(ls)
-    return Word._make(w.alphabet, ls[:d]), len(ls) // d
 
 
 def nontrivial_splits(w: Word) -> Iterator[tuple[Word, Word]]:

@@ -1,23 +1,16 @@
-from dataclasses import make_dataclass
-from itertools import permutations
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lyndonkit import (
-    DecreasingTree,
     Leaf,
     Node,
     Ordering,
     PrefixStandard,
     Word,
-    completion,
-    decreasing_tree,
     enumerate_lyndon_words,
     errors,
     foliage,
-    in_order_labels,
     is_lyndon,
     iter_all_words,
     left_cartesian_tree,
@@ -27,6 +20,7 @@ from lyndonkit import (
     prec_cmp,
     prefix_standard_permutation,
 )
+from lyndonkit.trees import _complete
 
 from .strategies import BINARY, TERNARY, words
 from .test_trees import EXAMPLE_WORD, example_tree
@@ -111,140 +105,24 @@ class TestPrefixStandard:
             PrefixStandard((0, 1), (2, 1))
 
 
-class TestDecreasingTree:
-    def test_worked_example(self):
-        got = decreasing_tree((2, 1, 5, 4, 3, 7, 6))
-        expect = DecreasingTree(
-            7,
-            DecreasingTree(
-                5,
-                DecreasingTree(2, None, DecreasingTree(1)),
-                DecreasingTree(4, None, DecreasingTree(3)),
-            ),
-            DecreasingTree(6),
-        )
-        assert got == expect
-
-    def test_tiny_examples(self):
-        assert decreasing_tree([1]) == DecreasingTree(1)
-        assert decreasing_tree((1, 2, 3)) == DecreasingTree(
-            3, DecreasingTree(2, DecreasingTree(1), None), None
-        )
-
-    def test_errors(self):
-        with pytest.raises(errors.EmptySequence):
-            decreasing_tree(())
-        with pytest.raises(errors.DuplicateEntry):
-            decreasing_tree((1, 2, 1))
-
-    def test_children_must_be_smaller(self):
-        with pytest.raises(ValueError):
-            DecreasingTree(1, DecreasingTree(2), None)
-
-    @given(st.lists(st.integers(min_value=-50, max_value=50), unique=True, min_size=1, max_size=10))
-    def test_in_order_round_trip(self, alpha):
-        assert in_order_labels(decreasing_tree(alpha)) == tuple(alpha)
-
-    def test_injective_on_permutations(self):
-        seen = {}
-        for alpha in permutations(range(1, 6)):
-            tree = decreasing_tree(alpha)
-            assert tree not in seen, (alpha, seen.get(tree))
-            seen[tree] = alpha
-
-    def test_repr_matches_the_dataclass_repr(self):
-        for alpha in permutations(range(1, 6)):
-            tree = decreasing_tree(alpha)
-            assert repr(tree) == repr(dataclass_decreasing(tree)), alpha
-
-    def test_equality_and_hash(self):
-        for alpha in permutations(range(1, 5)):
-            tree = decreasing_tree(alpha)
-            for beta in permutations(range(1, 5)):
-                other = decreasing_tree(beta)
-                assert (tree == other) == (alpha == beta), (alpha, beta)
-                assert (tree != other) == (alpha != beta), (alpha, beta)
-            assert hash(tree) == hash(decreasing_tree(alpha))
-        assert DecreasingTree(1) != Leaf(make_word("a", BINARY))
-        assert DecreasingTree(2, DecreasingTree(1)) != DecreasingTree(2, None, DecreasingTree(1))
-
-    def test_equality_with_repeated_labels(self):
-        d = DecreasingTree
-        assert d(5, d(3), d(3)) == d(5, d(3), d(3))
-        assert d(5, d(3), d(3)) != d(5, d(3, d(1)), d(3))
-        assert d(5, d(3, d(1)), d(3)) != d(5, d(3), d(3, d(1)))
-
-        # Every tree of up to four nodes with labels in 1..3: equal exactly
-        # when the repr, which spells out shape and labels, is equal.
-        def trees(top, size):
-            if size == 0:
-                yield None
-                return
-            for label in range(1, top + 1):
-                for left in range(size):
-                    for a in trees(label - 1, left):
-                        for b in trees(label - 1, size - 1 - left):
-                            yield DecreasingTree(label, a, b)
-
-        every = [t for size in range(1, 5) for t in trees(3, size)]
-        for t in every:
-            for u in every:
-                assert (t == u) == (repr(t) == repr(u)), (t, u)
-        again = [t for size in range(1, 5) for t in trees(3, size)]
-        assert all(t == u and hash(t) == hash(u) for t, u in zip(every, again))
-
-
-# The dataclass repr DecreasingTree had before it got an iterative one.
-DataclassDecreasing = make_dataclass(
-    "DecreasingTree", ["label", ("left", object, None), ("right", object, None)], frozen=True
-)
-
-
-def dataclass_decreasing(tree):
-    if tree is None:
-        return None
-    return DataclassDecreasing(
-        tree.label, dataclass_decreasing(tree.left), dataclass_decreasing(tree.right)
-    )
-
-
-class TestDeepDecreasingTree:
-    """decreasing_tree(range(1500)) is a left path of 1,500 levels, past the recursion limit."""
-
-    def test_equality_and_hash(self):
-        tree = decreasing_tree(range(1500))
-        assert tree == decreasing_tree(range(1500))
-        assert hash(tree) == hash(decreasing_tree(range(1500)))
-        assert len({tree, decreasing_tree(range(1500))}) == 1
-        assert tree != decreasing_tree([-1, *range(1, 1500)])
-        assert tree != decreasing_tree(range(1499))
-
-    def test_repr(self):
-        expect = "".join(f"DecreasingTree(label={k}, left=" for k in range(1499, 0, -1))
-        expect += "DecreasingTree(label=0, left=None, right=None)" + ", right=None)" * 1499
-        assert repr(decreasing_tree(range(1500))) == expect
-
-
 class TestCompletion:
+    """The decreasing tree of the labels, completed with the letters as leaves."""
+
     def test_single_node(self):
-        got = completion(DecreasingTree(1), w("ab"))
+        got = _complete((1,), w("ab"))
         assert got == Node(Leaf(w("a")), Leaf(w("b")))
 
     def test_leaf_interleaving(self):
-        got = completion(decreasing_tree((1, 2)), w("aab"))
+        got = _complete((1, 2), w("aab"))
         assert got == Node(Node(Leaf(w("a")), Leaf(w("a"))), Leaf(w("b")))
 
     def test_worked_example(self):
-        skeleton = decreasing_tree((2, 1, 5, 4, 3, 7, 6))
-        assert completion(skeleton, make_word(EXAMPLE_WORD, TERNARY)) == example_tree()
-
-    def test_size_mismatch(self):
-        with pytest.raises(errors.SizeMismatch):
-            completion(DecreasingTree(1), w("aab"))
+        got = _complete((2, 1, 5, 4, 3, 7, 6), make_word(EXAMPLE_WORD, TERNARY))
+        assert got == example_tree()
 
     @given(st.permutations(list(range(1, 8))), words(min_size=8, max_size=8))
     def test_foliage_is_always_the_given_word(self, alpha, word):
-        assert foliage(completion(decreasing_tree(alpha), word)) == word
+        assert foliage(_complete(alpha, word)) == word
 
 
 class TestLeftCartesianTree:

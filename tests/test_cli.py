@@ -29,8 +29,6 @@ from lyndonkit import (
     lex_cmp,
     make_word,
     nontrivial_splits,
-    parse_tree,
-    render_dot,
     right_lyndon_tree,
 )
 from lyndonkit.cli import _lyndon_violation, main
@@ -413,24 +411,22 @@ class TestTreeText:
         tree = left_lyndon_tree(word)
         text = format_tree(tree)
         assert text == "(((a,(a,b)),(a,(a,c))),(a,b))"
-        assert parse_tree(text, TERNARY) == tree
-
-    def test_parse_leaf(self):
-        assert parse_tree("a", BINARY) == Leaf(make_word("a", BINARY))
-
-    def test_malformed_rejected(self):
-        for bad in ["", "(a,b", "(a b)", "(a,b))", "ab", "(,a)", "(a,)"]:
-            with pytest.raises(ValueError):
-                parse_tree(bad, BINARY)
+        assert run_cli(["tree", "aabaacab"])[1].splitlines()[0] == text
 
     def test_render_dot_escapes_quotes(self):
-        # No quotable symbols exist in our alphabets; exercise the escaper
-        # directly on a synthetic single-leaf tree.
-        from lyndonkit import OrderedAlphabet
-
-        weird = OrderedAlphabet('"')
-        dot = render_dot(Leaf(make_word('"', weird)))
-        assert '[label="\\""]' in dot
+        # No quotable symbols exist in our alphabets; declare one.
+        assert run_cli(["tree", "--alphabet", '"', "--format", "dot", '"']) == (
+            0,
+            'digraph {\n  n0 [label="\\""];\n}\n',
+            "",
+        )
+        code, out, _ = run_cli(["tree", "--alphabet", '"\\', "--format", "dot", '"\\'])
+        assert code == 0
+        assert out.splitlines()[1:4] == [
+            '  n0 [label="\\""];',
+            '  n1 [label="\\""];',
+            '  n2 [label="\\\\"];',
+        ]
 
 
 class TestVerify:

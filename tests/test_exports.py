@@ -8,13 +8,8 @@ NAMES = {
         "Ordering",
         "OrderedAlphabet",
         "Word",
-        "FractionalExponent",
         "make_word",
         "lex_cmp",
-        "borders",
-        "nontrivial_periods",
-        "fractional_power_of",
-        "primitive_root",
         "nontrivial_splits",
         "iter_all_words",
     ],
@@ -23,7 +18,6 @@ NAMES = {
         "SixConditions",
         "omega_cmp",
         "omega_mismatch_position",
-        "comparison_within_first_factor",
         "six_conditions",
         "bergman_chain",
     ],
@@ -44,22 +38,15 @@ NAMES = {
         "right_standard_factorization",
         "left_lyndon_tree",
         "right_lyndon_tree",
-        "subtree_at",
         "left_subtrees_sequence",
         "left_foliage",
         "internal_addresses",
         "format_tree",
-        "parse_tree",
-        "render_dot",
     ],
     "cartesian": [
         "prec_cmp",
         "PrefixStandard",
         "prefix_standard_permutation",
-        "DecreasingTree",
-        "decreasing_tree",
-        "in_order_labels",
-        "completion",
         "left_cartesian_tree",
     ],
     "oracle": [
@@ -84,7 +71,7 @@ NAMES = {
 
 def test_root_names():
     expected = ["errors", "__version__", *(n for names in NAMES.values() for n in names)]
-    assert len(expected) == 65
+    assert len(expected) == 52
     assert sorted(lyndonkit.__all__) == sorted(expected)
 
 

@@ -27,23 +27,20 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cmp_to_key
 from math import gcd
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lyndonkit import (
-    DecreasingTree,
     Leaf,
     Node,
     OrderedAlphabet,
     Word,
-    completion,
-    decreasing_tree,
     errors,
     first_lyndon_factor,
     first_lyndon_factor_naive,
-    in_order_labels,
     internal_addresses,
     is_lyndon,
     is_lyndon_via_rotations,
@@ -60,12 +57,9 @@ from lyndonkit import (
     omega_cmp_naive,
     omega_mismatch_position,
     prec_cmp,
-    primitive_root,
     prefix_standard_permutation,
-    render_dot,
     right_lyndon_tree,
     right_standard_factorization,
-    subtree_at,
 )
 from lyndonkit import trees
 from lyndonkit.cartesian import _cartesian_ranks, _z_array
@@ -148,11 +142,19 @@ def ranks_by_prec(w: Word) -> tuple[int, ...]:
     )
 
 
+class Skeleton(NamedTuple):
+    """A node of a decreasing tree: its label above two subtrees, each None when empty."""
+
+    label: int
+    left: "Skeleton | None"
+    right: "Skeleton | None"
+
+
 def decreasing_by_max_split(entries):
     if not entries:
         return None
     i = entries.index(max(entries))
-    return DecreasingTree(
+    return Skeleton(
         entries[i],
         decreasing_by_max_split(entries[:i]),
         decreasing_by_max_split(entries[i + 1:]),
@@ -176,6 +178,12 @@ def right_tree_by_smallest_suffix(w: Word):
     return Node(right_tree_by_smallest_suffix(w[:cut]), right_tree_by_smallest_suffix(w[cut:]))
 
 
+def node_at(tree, address: str):
+    for step in address:
+        tree = tree.left if step == "L" else tree.right
+    return tree
+
+
 def dot_by_addresses(tree) -> str:
     """DOT rendering that resolves every node by address from the root."""
     order = []
@@ -189,7 +197,7 @@ def dot_by_addresses(tree) -> str:
     ids = {address: f"n{k}" for k, address in enumerate(order)}
     lines = ["digraph {"]
     for address in order:
-        node = subtree_at(tree, address)
+        node = node_at(tree, address)
         if isinstance(node, Leaf):
             label = node.letter.text()
         else:
@@ -215,10 +223,8 @@ def check_word(w: Word) -> None:
 def check_lyndon_word(w: Word) -> None:
     sigma = prefix_standard_permutation(w).sigma
     if len(w) > 1:
-        skeleton = decreasing_tree(sigma[:-1])
-        assert skeleton == decreasing_by_max_split(sigma[:-1]), w
-        assert completion(skeleton, w) == completion_by_sizes(skeleton, w), w
-        assert left_cartesian_tree(w) == completion(skeleton, w), w
+        skeleton = decreasing_by_max_split(sigma[:-1])
+        assert left_cartesian_tree(w) == completion_by_sizes(skeleton, w), w
         u, v = left_standard_factorization(w)
         cut = max(i for i in range(1, len(w)) if _rotation_lyndon(w.letters[:i]))
         assert (u, v) == (w[:cut], w[cut:]), w
@@ -230,8 +236,8 @@ def check_lyndon_word(w: Word) -> None:
     assert left_cartesian_tree(w) == left, w
     right = right_lyndon_tree(w)
     assert right == right_tree_by_smallest_suffix(w), w
-    for tree in (left, right):
-        assert render_dot(tree) == dot_by_addresses(tree), w
+    for kind, tree in (("left", left), ("right", right)):
+        assert run_tree(w, kind, "dot") == (0, dot_by_addresses(tree) + "\n", ""), w
 
 
 class TestExhaustive:
@@ -267,9 +273,8 @@ class TestHypothesis:
 
     @given(st.lists(st.integers(min_value=-99, max_value=99), unique=True, min_size=1, max_size=40))
     def test_decreasing_tree(self, alpha):
-        tree = decreasing_tree(alpha)
-        assert tree == decreasing_by_max_split(tuple(alpha))
-        assert in_order_labels(tree) == tuple(alpha)
+        w = comb(len(alpha) + 1)
+        assert _complete(alpha, w) == completion_by_sizes(decreasing_by_max_split(alpha), w)
 
 
 def walk(tree):
@@ -301,7 +306,7 @@ class TestDeepTrees:
         for tree in (left, cartesian, right):
             assert walk(tree)[0] == w.letters
         assert walk(left)[1] == walk(cartesian)[1]
-        lines = render_dot(left).splitlines()
+        lines = run_tree(w, "left", "dot")[1].splitlines()
         assert len(lines) == 2 + (2 * len(w) - 1) + 2 * (len(w) - 1)
 
     def test_comb_is_a_right_comb(self):
@@ -764,4 +769,4 @@ class TestLongComparisons:
             k = rng.randrange(len(ls))
             ls = ls[:k] + (1 - ls[k],) + ls[k + 1:]
         d = root_length_brute(ls)
-        assert primitive_root(Word(BINARY, ls)) == (Word(BINARY, ls[:d]), len(ls) // d)
+        assert omega_cmp(Word(BINARY, ls), Word(BINARY, ls)).common_root == Word(BINARY, ls[:d])

@@ -19,7 +19,14 @@ print(" ".join(sorted(set(sys.modules) - before)))
 sys.exit(code)
 """
 
-DEFERRED = ("lyndonkit.trees", "lyndonkit.cartesian", "lyndonkit.oracle", "fractions", "json")
+DEFERRED = (
+    "lyndonkit.trees",
+    "lyndonkit.cartesian",
+    "lyndonkit.oracle",
+    "fractions",
+    "json",
+    "concurrent.futures.process",
+)
 EAGER = {"lyndonkit", "lyndonkit.errors", "lyndonkit.words", "lyndonkit.omega", "lyndonkit.lyndon"}
 
 
@@ -73,7 +80,7 @@ def test_star_import_binds_each_name_to_its_module_object():
     done = run_python("-c", STAR)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
-    assert len(got["all"]) == 65
+    assert len(got["all"]) == 52
     assert sorted(got["all"]) == got["owned"]
     assert got["wrong"] == []
 

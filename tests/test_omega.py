@@ -13,9 +13,7 @@ from lyndonkit import (
     SixConditions,
     Word,
     bergman_chain,
-    comparison_within_first_factor,
     errors,
-    fractional_power_of,
     is_lyndon,
     is_lyndon_suffix_omega,
     iter_all_words,
@@ -62,7 +60,7 @@ class TestOmegaCmp:
         with pytest.raises(errors.EmptyWord):
             omega_cmp(Word(BINARY), w("a"))
         with pytest.raises(errors.AlphabetMismatch):
-            omega_cmp(w("a"), make_word("a", BINARY.reversed()))
+            omega_cmp(w("a"), make_word("a", OrderedAlphabet("ba")))
 
     @given(words(max_size=8), words(max_size=8))
     def test_matches_concatenation_order(self, u, v):
@@ -80,7 +78,8 @@ class TestOmegaCmp:
     def test_powers_are_equal(self, u, e):
         got = omega_cmp(u, Word(u.alphabet, u.letters * e))
         assert got.outcome is Ordering.EQUAL
-        assert fractional_power_of(u, got.common_root) is not None
+        root = got.common_root.letters
+        assert root * (len(u) // len(root)) == u.letters
 
     def test_long_common_runs_match_the_naive_scan(self):
         # Powers of a root with one letter appended, of about equal length
@@ -141,30 +140,6 @@ class TestMismatchPosition:
         if got.outcome is not Ordering.EQUAL:
             k = got.mismatch_position
             assert lex_cmp(ext(u, k) + x, ext(v, k) + y) == got.outcome
-
-
-class TestWithinFirstFactor:
-    def test_examples(self):
-        assert comparison_within_first_factor(w("ab"), w("b")) is True
-        assert comparison_within_first_factor(w("ab"), w("aba")) is False
-        assert comparison_within_first_factor(w("abaab"), w("abaababa")) is False
-
-    def test_equal_rejected(self):
-        with pytest.raises(errors.OmegaEqual):
-            comparison_within_first_factor(w("ab"), w("abab"))
-
-    @given(words(max_size=7), words(max_size=7))
-    def test_iff_not_fractional_power(self, u, v):
-        if omega_cmp(u, v).outcome is not Ordering.EQUAL:
-            got = comparison_within_first_factor(u, v)
-            assert got == (fractional_power_of(v, u) is None)
-
-    def test_iff_not_fractional_power_exhaustively(self):
-        universe = list(iter_all_words(BINARY, 5))
-        for u, v in product(universe, repeat=2):
-            if omega_cmp(u, v).outcome is not Ordering.EQUAL:
-                got = comparison_within_first_factor(u, v)
-                assert got == (fractional_power_of(v, u) is None), (u, v)
 
 
 def test_suffix_forms_agree_exhaustively():
@@ -256,7 +231,7 @@ def test_appending_preserves_order_past_largest_power_prefix():
     small = list(iter_all_words(BINARY, 3))
     tails = [Word(BINARY)] + list(iter_all_words(BINARY, 4))
     for u, v in product(small, repeat=2):
-        if fractional_power_of(v, u) is not None:
+        if (u.letters * len(v))[:len(v)] == v.letters:  # v is a prefix of u^ω
             continue
         if omega_cmp(u, v).outcome is not Ordering.LESS:
             continue
@@ -271,7 +246,7 @@ def test_appending_preserves_order_past_largest_power_prefix():
 
 @given(words(max_size=8), words(max_size=8))
 def test_reversed_alphabet_flips_outcome(u, v):
-    flipped = BINARY.reversed()
+    flipped = OrderedAlphabet("ba")
     ru = Word(flipped, (1 - x for x in u.letters))
     rv = Word(flipped, (1 - x for x in v.letters))
     got = omega_cmp(u, v)
@@ -329,7 +304,7 @@ class TestResultContract:
         assert tuple(json.loads(capsys.readouterr().out)["six"]) == SIX_FIELDS
 
     def test_six_conditions_errors(self):
-        other = make_word("a", BINARY.reversed())
+        other = make_word("a", OrderedAlphabet("ba"))
         empty = Word(BINARY)
         # An empty word is reported before a mismatched alphabet.
         for u, v in ((empty, w("a")), (w("a"), empty), (empty, other), (other, empty)):
@@ -343,7 +318,7 @@ class TestResultContract:
         assert six_conditions(w("a"), twin) == six_conditions(w("a"), w("ab"))
 
     def test_bergman_chain_errors(self):
-        other = make_word("b", BINARY.reversed())
+        other = make_word("b", OrderedAlphabet("ba"))
         empty = Word(BINARY)
         # A mismatched alphabet is reported before an empty word.
         for u, v in ((w("a"), other), (other, w("a")), (empty, other), (other, empty)):

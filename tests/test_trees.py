@@ -24,11 +24,9 @@ from lyndonkit import (
     lex_cmp,
     make_word,
     omega_cmp,
-    parse_tree,
     prec_cmp,
     right_lyndon_tree,
     right_standard_factorization,
-    subtree_at,
 )
 
 from .strategies import BINARY, TERNARY, words
@@ -227,18 +225,12 @@ class TestLyndonTrees:
 
 
 class TestAddresses:
-    def test_subtree_at(self):
-        tree = example_tree()
-        assert subtree_at(tree, "") == tree
-        assert subtree_at(tree, "R") == Node(leaf("a", TERNARY), leaf("b", TERNARY))
-        assert subtree_at(tree, "LLL") == leaf("a", TERNARY)
-
     def test_bad_addresses(self):
         tree = example_tree()
         with pytest.raises(errors.BadAddress):
-            subtree_at(tree, "X")
+            left_subtrees_sequence(tree, "X")
         with pytest.raises(errors.BadAddress):
-            subtree_at(tree, "RRR")
+            left_subtrees_sequence(tree, "RRR")
         with pytest.raises(errors.BadAddress):
             left_subtrees_sequence(tree, "RL")  # resolves to a leaf
         with pytest.raises(errors.BadAddress):
@@ -247,7 +239,7 @@ class TestAddresses:
     def test_address_through_a_leaf_partway(self):
         # "RL" is a leaf, so "RLLR" steps below it at depth 2.
         tree = example_tree()
-        for fn in (subtree_at, left_subtrees_sequence, left_foliage):
+        for fn in (left_subtrees_sequence, left_foliage):
             with pytest.raises(errors.BadAddress, match="walks into a leaf at depth 2"):
                 fn(tree, "RLLR")
 
@@ -344,7 +336,9 @@ class TestHangingSubtreeLemmas:
 
     def test_labels_decrease_downward(self):
         for word, tree, x in self.sweep():
-            node = subtree_at(tree, x)
+            node = tree
+            for step in x:
+                node = node.left if step == "L" else node.right
             for step, child in (("L", node.left), ("R", node.right)):
                 if isinstance(child, Node):
                     assert (
@@ -378,9 +372,8 @@ class TestDeepComb:
         with pytest.raises(errors.BadAddress):
             left_foliage(tree, "R" * 1499)
 
-    def test_parse_format_round_trip(self):
-        tree = self.tree()
-        assert parse_tree(format_tree(tree), BINARY) == tree
+    def test_format_tree(self):
+        assert format_tree(self.tree()) == "(a," * 1499 + "b" + ")" * 1499
 
     def test_equality_and_hash(self):
         tree = self.tree()
@@ -445,5 +438,5 @@ class TestTreeEquality:
     def test_equal_trees_hash_equal(self):
         for word in enumerate_lyndon_words(TERNARY, 6):
             tree = left_lyndon_tree(word)
-            copy = parse_tree(format_tree(tree), TERNARY)
+            copy = left_lyndon_tree(Word(TERNARY, word.letters))
             assert tree == copy and hash(tree) == hash(copy), word

@@ -1,24 +1,19 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lyndonkit import (
-    FractionalExponent,
     OrderedAlphabet,
     Ordering,
     Word,
-    borders,
     errors,
-    fractional_power_of,
     iter_all_words,
     lex_cmp,
     make_word,
-    nontrivial_periods,
     nontrivial_splits,
-    primitive_root,
+    omega_cmp,
 )
 
 from .strategies import BINARY, TERNARY, words
@@ -32,7 +27,7 @@ class TestAlphabet:
     def test_order_is_declaration_order(self):
         cba = OrderedAlphabet("cba")
         assert cba.rank == {"c": 0, "b": 1, "a": 2}
-        assert cba.reversed().symbols == ("a", "b", "c")
+        assert OrderedAlphabet("abc").rank == {"a": 0, "b": 1, "c": 2}
 
     def test_rejects_duplicates_and_long_symbols(self):
         with pytest.raises(ValueError):
@@ -98,67 +93,21 @@ class TestLexCmp:
         assert lex_cmp(u, v) == Ordering(expect)
 
 
-class TestPeriods:
-    def test_borders_example(self):
-        assert [b.text() for b in borders(w("abaab"))] == ["ab"]
-        assert borders(w("ab")) == []
-        assert [b.text() for b in borders(w("aabaa"))] == ["a", "aa"]
-
-    def test_periods_example(self):
-        assert nontrivial_periods(w("abaab")) == [3]
-        assert nontrivial_periods(w("aaaa")) == [1, 2, 3]
-
-    @given(words(max_size=10))
-    def test_border_period_duality(self, word):
-        n = len(word)
-        assert nontrivial_periods(word) == [n - len(b) for b in reversed(borders(word))]
-
-
-class TestFractionalPower:
-    def test_whole_power(self):
-        assert fractional_power_of(w("abab"), w("ab")) == FractionalExponent(2, 0, 1)
-
-    def test_strict_fraction(self):
-        got = fractional_power_of(w("abaab"), w("aba"))
-        assert got == FractionalExponent(1, 2, 3)
-        assert got.strict
-        assert got.as_fraction() == Fraction(5, 3)
-
-    def test_short_prefix_is_not_strict(self):
-        got = fractional_power_of(w("ab"), w("abaab"))
-        assert got == FractionalExponent(0, 2, 5)
-        assert not got.strict
-
-    def test_off_extension(self):
-        assert fractional_power_of(w("abb"), w("ab")) is None
-
-    def test_empty_base_rejected(self):
-        with pytest.raises(errors.EmptyBase):
-            fractional_power_of(w("ab"), Word(BINARY))
-
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            FractionalExponent(1, 2, 4)
-        with pytest.raises(ValueError):
-            FractionalExponent(-1, 0, 1)
-
-    @given(words(max_size=6), st.integers(min_value=1, max_value=4))
-    def test_integer_powers_recovered(self, base, e):
-        power = Word(BINARY, base.letters * e)
-        assert fractional_power_of(power, base).as_fraction() == e
-
-
 class TestPrimitiveRoot:
+    """A word's primitive root, as omega_cmp reports it for the word against itself."""
+
     def test_examples(self):
-        assert primitive_root(w("abab")) == (w("ab"), 2)
-        assert primitive_root(w("aab")) == (w("aab"), 1)
-        assert primitive_root(w("aaaa")) == (w("a"), 4)
+        assert omega_cmp(w("abab"), w("abab")).common_root == w("ab")
+        assert omega_cmp(w("aab"), w("aab")).common_root == w("aab")
+        assert omega_cmp(w("aaaa"), w("aaaa")).common_root == w("a")
 
     @given(words(max_size=12))
     def test_root_is_primitive_and_rebuilds(self, word):
-        root, e = primitive_root(word)
+        root = omega_cmp(word, word).common_root
+        e = len(word) // len(root)
         assert Word(BINARY, root.letters * e) == word
-        assert primitive_root(root) == (root, 1)
+        assert omega_cmp(root, root).common_root == root
+        assert all(root.letters[:d] * (len(root) // d) != root.letters for d in range(1, len(root)))
 
 
 def _shuffled(symbols: list[str]) -> OrderedAlphabet:
