@@ -6,8 +6,8 @@ nonempty prefixes of a word by this order gives a permutation; for a
 Lyndon word, the decreasing tree of that permutation (minus its final,
 maximal entry), completed with the letters as leaves, reproduces the left
 Lyndon tree (Ufnarovskij's characterization makes the same ranks the
-Lyndon test).  No decreasing tree is made: one stack pass over the ranks
-builds the completed tree directly.
+Lyndon test).  No decreasing tree is made: the completed tree is built
+from the bracket form of the ranks (see trees._complete).
 """
 
 from __future__ import annotations
@@ -51,17 +51,6 @@ class PrefixStandard:
 
     sigma: tuple[int, ...]
     inverse: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        # A map of 1..n into itself with a left inverse is a bijection, so
-        # one pass checks both tuples.  The range check keeps rank 0 from
-        # reading inverse[-1].
-        n = len(self.sigma)
-        if len(self.inverse) != n:
-            raise ValueError("sigma and inverse must have the same length")
-        for length, rank in enumerate(self.sigma, start=1):
-            if not 0 < rank <= n or self.inverse[rank - 1] != length:
-                raise ValueError("sigma must be a permutation of 1..n with the given inverse")
 
     def __len__(self) -> int:
         return len(self.sigma)
@@ -142,8 +131,8 @@ def left_cartesian_tree(w: Word) -> MagmaTree:
     A word is Lyndon exactly when it ranks above all its proper prefixes
     (Ufnarovskij 1995).  Ties rank the longer word lower, so a power u^k
     ranks below u and fails, and a single letter passes.  The whole word's
-    entry is then dropped, and one stack pass over the other ranks, with
-    the letters in the empty slots, builds the skeleton and its completion
-    together.
+    entry is then dropped, and the other ranks, with the letters in the
+    empty slots, go through trees._complete like the labels of both Lyndon
+    trees.
     """
     return _complete(_cartesian_ranks(w), w)

@@ -40,9 +40,5 @@ class BadAddress(LyndonKitError):
     """A node address does not resolve to an internal node."""
 
 
-class EmptySequence(LyndonKitError):
-    pass
-
-
 class UniquenessViolation(LyndonKitError):
     """The number of nonincreasing factorizations found was not exactly one."""

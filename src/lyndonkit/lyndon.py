@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import EmptySequence
 from .words import OrderedAlphabet, Word, _join, ensure_nonempty
 
 __all__ = [
@@ -29,10 +28,6 @@ class LyndonFactorization:
     """Factors of the unique nonincreasing factorization into Lyndon words."""
 
     factors: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise EmptySequence("a factorization has at least one factor")
 
     @property
     def word(self) -> Word:

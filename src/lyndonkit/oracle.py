@@ -301,11 +301,6 @@ class VerificationReport:
     word: Word
     checks: tuple[CheckResult, ...]
 
-    def __post_init__(self) -> None:
-        names = [c.name for c in self.checks]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate check name in report")
-
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)

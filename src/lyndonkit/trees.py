@@ -5,21 +5,21 @@ foliage is the word read off the leaves from left to right.  Iterating the
 left (or right) standard factorization of a Lyndon word grows such a tree.
 
 Internal nodes are addressed by strings over 'L' and 'R' describing the
-path from the root.  A tree's text form, (l,r) with letters as leaves, its
-JSON form of nested {"l": ..., "r": ...} and {"leaf": ...} objects and its
-DOT form are all written from its bracket form (see _brackets), which the
-tree command reads straight off the ranks, with no node made.
+path from the root.  Every tree goes through one bracket form (see
+_brackets), read off the ranks by _bracket_counts with no node made.
+_complete builds a tree from it, and the text form, (l,r) with letters as
+leaves, the JSON form of nested {"l": ..., "r": ...} and {"leaf": ...}
+objects and the DOT form are all written from it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .errors import BadAddress, NotLyndon, TooShort
 from .lyndon import _duval_cuts, _lyndon_prefix_ends
-from .words import OrderedAlphabet, Word, _join, ensure_nonempty
+from .words import Word, _join, ensure_nonempty
 
 __all__ = [
     "Leaf",
@@ -68,21 +68,21 @@ class Node:
         return hash(tuple(map(tuple, _brackets(self))))
 
     def __repr__(self) -> str:
-        symbols, opens, closes, _ = _brackets(self)
-        leaves = [f"Leaf(letter=Word({s!r}))" for s in symbols]
+        letters, opens, closes = _brackets(self)
+        leaves = [f"Leaf(letter={letter!r})" for letter in letters]
         return _write(leaves, opens, closes, "Node(left=", ", right=", ")")
 
 
 MagmaTree = Union[Leaf, Node]
 
 
-def _brackets(tree: MagmaTree) -> tuple[list[str], list[int], list[int], list[OrderedAlphabet]]:
-    """The tree in bracket form: for each leaf, left to right, its symbol, how
-    many internal nodes it is the leftmost leaf of (opens) and the rightmost
-    leaf of (closes), and its alphabet.  This is the (l,r) text, run-length
-    coded, so two trees are equal exactly when their bracket forms are.
+def _brackets(tree: MagmaTree) -> tuple[list[Word], list[int], list[int]]:
+    """The tree in bracket form: for each leaf, left to right, its letter, and
+    how many internal nodes it is the leftmost leaf of (opens) and the
+    rightmost leaf of (closes).  This is the (l,r) text, run-length coded, so
+    two trees are equal exactly when their bracket forms are.
     """
-    symbols, opens, closes, alphabets = [], [], [], []
+    letters, opens, closes = [], [], []
     entered = 0  # nodes entered since the last leaf: the next leaf opens them all
     # Pre-order, each subtree stacked with the count of nodes it closes for.
     stack: list = [tree, 0]
@@ -92,26 +92,16 @@ def _brackets(tree: MagmaTree) -> tuple[list[str], list[int], list[int], list[Or
             entered += 1
             stack += (tree.right, ending + 1, tree.left, 0)
         else:
-            letter = tree.letter
-            symbols.append(letter.alphabet.symbols[letter.letters[0]])
+            letters.append(tree.letter)
             opens.append(entered)
             closes.append(ending)
-            alphabets.append(letter.alphabet)
             entered = 0
-    return symbols, opens, closes, alphabets
+    return letters, opens, closes
 
 
 def foliage(tree: MagmaTree) -> Word:
-    """The leaf word, left to right: one explicit-stack walk, then one O(n) join."""
-    letters = []
-    stack = [tree]
-    while stack:
-        tree = stack.pop()
-        if isinstance(tree, Node):
-            stack += (tree.right, tree.left)
-        else:
-            letters.append(tree.letter)
-    return _join(letters)
+    """The leaf word, left to right: the letters of the bracket form, joined in O(n)."""
+    return _join(_brackets(tree)[0])
 
 
 def left_standard_factorization(w: Word) -> tuple[Word, Word]:
@@ -148,30 +138,26 @@ def right_standard_factorization(w: Word) -> tuple[Word, Word]:
 
 def _complete(labels: Sequence[int], w: Word) -> MagmaTree:
     """The decreasing tree of distinct labels, with the letters of w in its
-    empty slots, built in one stack pass.
+    empty slots, built from its bracket form (see _bracket_counts).
 
-    The stack holds a decreasing run of labels, each with its finished left
-    subtree.  A larger label pops the smaller ones, and each popped label
-    becomes a node over its left subtree and the tree finished after it.
-    Letter k fills the empty slot just left of labels[k], and the last
-    letter the last slot.  A last label above all others pops the stack
-    into one tree.
+    Leaf k finishes closes[k] nodes, each over the subtree finished before
+    it and the one just finished, so one stack of finished subtrees, left
+    to right, builds the tree.
     """
-    # The labels fix the shape; equal letters share one Leaf object.
+    # Equal letters share one Leaf object.
     shared = {x: Leaf(Word(w.alphabet, (x,))) for x in set(w.letters)}
-    leaves = [shared[x] for x in w.letters]
-    tops, lefts = [], []
-    for label, sub in zip(itertools.chain(labels, [float("inf")]), leaves):
-        while tops and tops[-1] < label:
-            tops.pop()
-            sub = Node(lefts.pop(), sub)
-        tops.append(label)
-        lefts.append(sub)
-    return lefts[0]
+    done: list[MagmaTree] = []
+    for x, c in zip(w.letters, _bracket_counts(labels)[1]):
+        sub = shared[x]
+        for _ in range(c):
+            sub = Node(done.pop(), sub)
+        done.append(sub)
+    return done[0]
 
 
 def _bracket_counts(labels: Sequence[int]) -> tuple[list[int], list[int]]:
-    """opens and closes of _complete(labels, w), with no node made.
+    """opens and closes of the decreasing tree of distinct labels, completed
+    with a leaf in each empty slot, with no node made.
 
     The node of a label spans the leaves between the nearest larger labels
     on either side, so one all-nearest-larger stack pass finds both: the
@@ -245,12 +231,12 @@ def _right_ranks(w: Word) -> list[int]:
 
 
 def left_lyndon_tree(w: Word) -> MagmaTree:
-    """Iterate the left standard factorization down to single letters."""
+    """Iterated left standard factorization, as the decreasing tree of _left_ranks."""
     return _complete(_left_ranks(w), w)
 
 
 def right_lyndon_tree(w: Word) -> MagmaTree:
-    """Iterate the right standard factorization down to single letters."""
+    """Iterated right standard factorization, as the decreasing tree of _right_ranks."""
     return _complete(_right_ranks(w), w)
 
 
@@ -350,4 +336,5 @@ def _write_dot(symbols: Sequence[str], opens: Sequence[int], closes: Sequence[in
 
 def format_tree(tree: MagmaTree) -> str:
     """Canonical text form: a leaf prints its letter, a node prints (l,r)."""
-    return _write(*_brackets(tree)[:3])
+    letters, opens, closes = _brackets(tree)
+    return _write([letter.text() for letter in letters], opens, closes)

@@ -212,12 +212,12 @@ def lex_cmp(u: Word, v: Word) -> Ordering:
 def _root_length(ls: tuple[int, ...]) -> int:
     """Length of the primitive root of a nonempty letter tuple."""
     n = len(ls)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         # A period d must first survive its next d letters, an O(d) check
         # that rejects most candidates before the O(n) one.
         if n % d == 0 and ls[d:2 * d] == ls[:min(d, n - d)] and ls[:d] * (n // d) == ls:
             return d
-    raise AssertionError("unreachable: every word is a power of itself")
+    return n
 
 
 def nontrivial_splits(w: Word) -> Iterator[tuple[Word, Word]]:

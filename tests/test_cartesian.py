@@ -6,7 +6,6 @@ from lyndonkit import (
     Leaf,
     Node,
     Ordering,
-    PrefixStandard,
     Word,
     enumerate_lyndon_words,
     errors,
@@ -91,18 +90,6 @@ class TestPrefixStandard:
     def test_lyndon_words_rank_themselves_last(self):
         for word in enumerate_lyndon_words(BINARY, 10):
             assert prefix_standard_permutation(word).sigma[-1] == len(word)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PrefixStandard((1, 3), (1, 2))
-        with pytest.raises(ValueError):
-            PrefixStandard((2, 1), (1, 2))
-        with pytest.raises(ValueError):
-            PrefixStandard((1, 1), (1, 2))
-        with pytest.raises(ValueError):
-            PrefixStandard((0, 2), (2, 1))
-        with pytest.raises(ValueError):
-            PrefixStandard((0, 1), (2, 1))
 
 
 class TestCompletion:

@@ -14,16 +14,17 @@ Every kind and format of the ``tree`` command, which writes from bracket
 counts and makes no ``Node``, is checked against explicit-stack writers of
 the builders' trees, and ``factorize``, which prints from Duval's cuts,
 against the library's factorization.  The bracket counts are checked
-against the built tree's on every permutation of up to 7 labels, and the
-Z-array against its definition.  The extension comparison is checked
-on pairs whose lengths and changed letters sit at its phase and window
-boundaries.
+against the max-split decreasing tree's on every permutation of up to 7
+labels, and the Z-array against its definition.  The extension comparison
+is checked on pairs whose lengths and changed letters sit at its phase and
+window boundaries.
 """
 
 import io
 import itertools
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cmp_to_key
 from math import gcd
@@ -495,8 +496,23 @@ class TestTreeCommand:
             assert run_tree(w, kind, fmt) == (0, out, ""), (w, kind, fmt)
 
 
+def counts_by_max_split(labels, w: Word):
+    """opens and closes of the max-split decreasing tree of labels, completed with w.
+
+    The reference recurses once per level, and the comb's tree is as deep
+    as the word is long, so the recursion limit is raised for the call.
+    """
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 3 * len(w))
+    try:
+        tree = completion_by_sizes(decreasing_by_max_split(list(labels)), w)
+    finally:
+        sys.setrecursionlimit(limit)
+    return tuple(_brackets(tree)[1:])
+
+
 class TestBracketCounts:
-    """The nearest-larger stack pass against the bracket form of the built tree."""
+    """The nearest-larger stack pass against the max-split decreasing tree."""
 
     @pytest.mark.parametrize("k", range(8))
     def test_every_permutation(self, k):
@@ -504,13 +520,13 @@ class TestBracketCounts:
         # permutation here, whether or not a Lyndon word has that tree.
         w = comb(k + 1)
         for labels in itertools.permutations(range(1, k + 1)):
-            assert _bracket_counts(labels) == _brackets(_complete(labels, w))[1:3], labels
+            assert _bracket_counts(labels) == counts_by_max_split(labels, w), labels
 
     @pytest.mark.parametrize("w", [pytest.param(w, id=k) for k, w in long_tree_words().items()])
     def test_rank_labels(self, w):
         for ranks in (_left_ranks, _right_ranks, _cartesian_ranks):
             labels = ranks(w)
-            assert _bracket_counts(labels) == _brackets(_complete(labels, w))[1:3], ranks
+            assert _bracket_counts(labels) == counts_by_max_split(labels, w), ranks
 
 
 def z_by_slices(ls) -> list[int]:

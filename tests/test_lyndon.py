@@ -95,8 +95,6 @@ class TestFactorization:
         assert [f.text() for f in lyndon_factorization(w("bbb"))] == ["b", "b", "b"]
 
     def test_factorization_type_guards(self):
-        with pytest.raises(errors.EmptySequence):
-            LyndonFactorization(())
         fact = lyndon_factorization(w("ab"))
         assert fact.word == w("ab")
         assert len(fact) == 1

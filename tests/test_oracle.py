@@ -250,11 +250,6 @@ class TestVerifyWord:
         report = verify_word(w("aabab"))
         assert [c.name for c in report.checks] == list(CHECK_NAMES)
 
-    def test_report_rejects_duplicate_names(self):
-        dup = CheckResult("x", True)
-        with pytest.raises(ValueError):
-            VerificationReport(w("a"), (dup, dup))
-
     def test_failures_surface(self):
         report = VerificationReport(
             w("a"), (CheckResult("x", True), CheckResult("y", False, "boom"))
