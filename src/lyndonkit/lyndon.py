@@ -8,7 +8,6 @@ the other characterizations live in the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .words import OrderedAlphabet, Word, _join, ensure_nonempty
@@ -23,11 +22,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LyndonFactorization:
-    """Factors of the unique nonincreasing factorization into Lyndon words."""
+    """Factors of the unique nonincreasing factorization into Lyndon words.
 
-    factors: tuple[Word, ...]
+    An immutable record with equality, hash and repr on its one field,
+    written out so that `compare` and `factorize` start without loading
+    dataclasses.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Word, ...]) -> None:
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy would restore the slot through __setattr__.
+        return type(self), (self.factors,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(factors={self.factors!r})"
 
     @property
     def word(self) -> Word:

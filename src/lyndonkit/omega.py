@@ -10,10 +10,11 @@ and Wilf bound.  When uv = vu the extensions coincide.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionFailed
 from .words import (
+    OrderedAlphabet,
     Ordering,
     Word,
     _root_length,
@@ -90,8 +91,9 @@ def _first_difference(
     that differ at all differ early, and a slice costs more than a few
     index lookups.  From there the scan gallops over windows of doubling
     length, clamped at n, then bisects the window that holds the
-    difference: each step compares two tuple slices no longer than the
-    window, so a late difference costs O(log n) interpreter steps.
+    difference: each step compares two slices, of tuples or bytes, no
+    longer than the window, so a late difference costs O(log n)
+    interpreter steps.
     """
     head = n if n < _HEAD else _HEAD
     while lo < head:
@@ -184,11 +186,29 @@ def omega_cmp(u: Word, v: Word) -> OmegaComparison:
 
 
 def _omega_order(a: tuple[int, ...], b: tuple[int, ...]) -> Ordering:
-    """omega_cmp's outcome on two nonempty letter tuples, with no result object."""
+    """omega_cmp's outcome on two nonempty letter sequences, with no result object."""
     if a[0] != b[0]:
         return _LESS if a[0] < b[0] else _GREATER
     i = _concatenation_difference(a, b)
     return _EQUAL if i is None else _order_at(a, b, i)
+
+
+# Letters in a pair from which packing it into bytes pays for itself: the
+# crossover measured between 48 and 96 letters.
+_PACK_FROM = 64
+
+
+def _packed(
+    a: tuple[int, ...], b: tuple[int, ...], alphabet: OrderedAlphabet
+) -> tuple[Sequence[int], Sequence[int]]:
+    """a and b as bytes when the pair is long and every rank fits a byte, else as given.
+
+    Bytes index, slice, concatenate and compare like rank tuples, but a
+    bytes slice is copied and compared with no object per letter.
+    """
+    if len(a) + len(b) >= _PACK_FROM and len(alphabet.symbols) <= 256:
+        return bytes(a), bytes(b)
+    return a, b
 
 
 def omega_mismatch_position(u: Word, v: Word) -> int | None:
@@ -199,8 +219,12 @@ def omega_mismatch_position(u: Word, v: Word) -> int | None:
 def six_conditions(u: Word, v: Word) -> SixConditions:
     """Evaluate each of the six extension inequalities independently.
 
-    Each compares letter tuples: the concatenations uv and vu are copied
-    once each, and no Word or OmegaComparison is made.
+    Each is its own scan over the letters of u, v, uv and vu, and no Word
+    or OmegaComparison is made.  A pair of at least 64 (_PACK_FROM)
+    letters over at most 256 symbols is packed into bytes once, so the
+    six scans compare bytes slices; shorter pairs, where packing costs
+    more than it saves, and larger alphabets stay rank tuples.
+    omega_cmp never packs: its one scan costs about as much as packing.
     """
     a, b = u.letters, v.letters
     # An empty word is reported before a mismatched alphabet; equal
@@ -210,6 +234,7 @@ def six_conditions(u: Word, v: Word) -> SixConditions:
         ensure_nonempty(v)
     if u.alphabet is not v.alphabet:
         ensure_same_alphabet(u, v)
+    a, b = _packed(a, b, u.alphabet)
     ab, ba = a + b, b + a
     order = _omega_order
     return _new(
@@ -232,7 +257,7 @@ def bergman_chain(u: Word, v: Word) -> bool:
     """
     if omega_cmp(u, v).outcome is not _LESS:
         raise PreconditionFailed("the chain is stated for u strictly below v")
-    a, b = u.letters, v.letters
+    a, b = _packed(u.letters, v.letters, u.alphabet)
     ab, ba = a + b, b + a
     order = _omega_order
     return order(a, ab) is _LESS and order(ab, ba) is _LESS and order(ba, b) is _LESS

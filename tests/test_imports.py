@@ -26,6 +26,7 @@ DEFERRED = (
     "fractions",
     "json",
     "concurrent.futures.process",
+    "dataclasses",
 )
 EAGER = {"lyndonkit", "lyndonkit.errors", "lyndonkit.words", "lyndonkit.omega", "lyndonkit.lyndon"}
 

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations, islice
 
 import pytest
@@ -105,6 +106,21 @@ class TestFactorization:
         fact = lyndon_factorization(word)
         assert len(fact) == 40000
         assert fact.word == word
+
+    def test_record_is_an_immutable_value(self):
+        fact = lyndon_factorization(w("abaabbabba"))
+        same = LyndonFactorization(factors=fact.factors)
+        assert repr(fact) == "LyndonFactorization(factors=(Word('ab'), Word('aabbabb'), Word('a')))"
+        assert fact == same and hash(fact) == hash(same)
+        assert fact != fact.factors
+        assert list(fact) == list(fact.factors)
+        assert pickle.loads(pickle.dumps(fact)) == fact
+        for name in ("factors", "other"):
+            with pytest.raises(AttributeError):
+                setattr(fact, name, ())
+        with pytest.raises(AttributeError):
+            del fact.factors
+        assert fact.factors == same.factors
 
     def test_word_rejects_mixed_alphabets(self):
         fact = LyndonFactorization((w("b"), make_word("a", OrderedAlphabet("ba"))))

@@ -25,7 +25,7 @@ from lyndonkit import (
     six_conditions,
 )
 
-from .strategies import BINARY, TERNARY, words
+from .strategies import BINARY, TERNARY, pairs, words
 
 
 def w(text: str) -> Word:
@@ -154,6 +154,18 @@ def test_suffix_forms_agree_exhaustively():
             assert is_lyndon_suffix_omega(word) == parts == is_lyndon(word), word
 
 
+def naive_six(u: Word, v: Word) -> SixConditions:
+    """The six inequalities of six_conditions, each from omega_cmp_naive."""
+    uv, vu = u + v, v + u
+
+    def less(x: Word, y: Word) -> bool:
+        return omega_cmp_naive(x, y).outcome is Ordering.LESS
+
+    return SixConditions(
+        less(u, v), less(uv, v), less(u, vu), less(uv, vu), less(u, uv), less(vu, v)
+    )
+
+
 class TestSixConditions:
     def test_examples(self):
         assert all(six_conditions(w("a"), w("b")))
@@ -163,14 +175,26 @@ class TestSixConditions:
     def test_equal_extensions_all_false(self):
         assert not any(six_conditions(w("ab"), w("abab")))
 
-    @given(words(max_size=7), words(max_size=7))
-    def test_all_equal_or_all_false(self, u, v):
+    @given(pairs())
+    def test_all_equal_or_all_false(self, pair):
+        u, v = pair
         six = six_conditions(u, v)
         if omega_cmp(u, v).outcome is Ordering.EQUAL:
             assert not any(six)
         else:
             assert six.all_equal()
             assert six.u_lt_v == (omega_cmp(u, v).outcome is Ordering.LESS)
+        assert six == naive_six(u, v)
+
+    def test_alphabet_past_a_byte(self):
+        # 300 symbols: ranks up to 299 do not fit a byte, so a long pair
+        # over this alphabet must be compared as rank tuples.
+        big = OrderedAlphabet(chr(0x100 + i) for i in range(300))
+        root = (299, 0, 298, 1)
+        u, v = Word(big, root * 25 + (0,)), Word(big, root * 20 + (299,))
+        assert six_conditions(u, v) == naive_six(u, v) == SixConditions(*[True] * 6)
+        assert not any(six_conditions(v, u))
+        assert bergman_chain(u, v)
 
 
 class TestBergmanChain:
@@ -184,8 +208,9 @@ class TestBergmanChain:
         with pytest.raises(errors.PreconditionFailed):
             bergman_chain(w("ab"), w("abab"))
 
-    @given(words(max_size=7), words(max_size=7))
-    def test_holds_whenever_less(self, u, v):
+    @given(pairs())
+    def test_holds_whenever_less(self, pair):
+        u, v = pair
         if omega_cmp(u, v).outcome is Ordering.LESS:
             assert bergman_chain(u, v)
 
