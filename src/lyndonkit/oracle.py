@@ -254,7 +254,7 @@ def left_lyndon_tree_naive(w: Word) -> MagmaTree:
     of stopping early, so it shares no algorithm with the fast builder.
     """
     ls = w.letters
-    if not _below_rotations(ls):
+    if not is_lyndon_via_rotations(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
 
     def split(lo: int, hi: int) -> int:
@@ -274,7 +274,7 @@ def left_cartesian_tree_via_prefixes(w: Word) -> MagmaTree:
     that end inside it, w[:lo + 1] to w[:hi - 1]; a one-letter block is a
     letter leaf.
     """
-    if not is_lyndon(w):
+    if not is_lyndon_via_rotations(w):
         raise NotLyndon(f"{w.text()!r} is not a Lyndon word")
 
     def split(lo: int, hi: int) -> int:
@@ -505,7 +505,7 @@ def _check_left_foliage_concatenation(w: Word, facts: _Facts):
 
 def _check_left_subtrees_order(w: Word, facts: _Facts):
     for addr, ells in facts.hanging:
-        whole = _join(ells)
+        whole = facts.labels[addr]
         last = ells[-1]
         if len(last.letters) >= 2:
             head, _ = left_standard_factorization(last)

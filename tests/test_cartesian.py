@@ -143,6 +143,12 @@ class TestLeftCartesianTree:
         with pytest.raises(errors.NotLyndon):
             left_cartesian_tree_via_prefixes(w("bab"))
 
+    def test_via_prefixes_tests_lyndon_on_its_own(self, monkeypatch):
+        # The oracle's guard is its rotation test, not the library's Duval scan.
+        monkeypatch.setattr("lyndonkit.oracle.is_lyndon", lambda word: True)
+        with pytest.raises(errors.NotLyndon):
+            left_cartesian_tree_via_prefixes(w("ba"))
+
     def test_both_constructions_and_foliage(self):
         for alphabet, max_len in ((BINARY, 10), (TERNARY, 6)):
             for word in enumerate_lyndon_words(alphabet, max_len):

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -872,14 +873,31 @@ class TestReusedParser:
         assert lyndonkit.cli._parser is shared
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
+    """Run a fresh interpreter on args, with lyndonkit importable.
+
+    The child leads its own process group, and a timeout kills the whole
+    group, so a timed-out process pool leaves no worker running.
+    """
     import lyndonkit
 
     src = str(Path(lyndonkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    with subprocess.Popen(
+        [sys.executable, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    ) as child:
+        try:
+            out, err = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            raise
+    return subprocess.CompletedProcess(child.args, child.returncode, out, err)
 
 
 class TestFreshInterpreter:

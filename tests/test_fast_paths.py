@@ -109,6 +109,11 @@ def christoffel(a_count: int, b_count: int) -> Word:
     return Word(BINARY, tuple(int((i + 1) * b_count // n > i * b_count // n) for i in range(n)))
 
 
+def blocks(k: int, m: int) -> Word:
+    """The Lyndon word (a^k b)^m b."""
+    return Word(BINARY, ((0,) * k + (1,)) * m + (1,))
+
+
 def random_lyndon(rng: random.Random, n: int, alphabet: OrderedAlphabet) -> Word:
     while True:
         word = Word(alphabet, [rng.randrange(len(alphabet)) for _ in range(n)])
@@ -305,7 +310,7 @@ class TestDeepTrees:
         cartesian = left_cartesian_tree(w)
         right = right_lyndon_tree(w)
         for tree in (left, cartesian, right):
-            assert walk(tree)[0] == w.letters
+            assert walk(tree)[0] == tuple(w.letters)
         assert walk(left)[1] == walk(cartesian)[1]
         lines = run_tree(w, "left", "dot")[1].splitlines()
         assert len(lines) == 2 + (2 * len(w) - 1) + 2 * (len(w) - 1)
@@ -330,7 +335,7 @@ def right_spine_words():
     for a, b in ((144, 89), (233, 144), (250, 1), (1, 250), (301, 199)):
         out[f"christoffel-{a}-{b}"] = christoffel(a, b)
     for k, m in ((1, 100), (3, 60), (7, 40), (30, 15)):
-        out[f"(a^{k}b)^{m}b"] = Word(BINARY, ((0,) * k + (1,)) * m + (1,))
+        out[f"(a^{k}b)^{m}b"] = blocks(k, m)
     return out
 
 
@@ -349,7 +354,7 @@ def one_pass_words():
         "comb-20000": comb(20000),
         "reversed-comb-20000": reversed_comb(20000),
         "christoffel-12361-7639": christoffel(12361, 7639),
-        "(a^141b)^141b": Word(BINARY, ((0,) * 141 + (1,)) * 141 + (1,)),
+        "(a^141b)^141b": blocks(141, 141),
         "random-abc-1000": random_lyndon(random.Random(23), 1000, TERNARY),
     }
 
@@ -439,7 +444,7 @@ def long_tree_words():
         "comb-2000": comb(2000),
         "reversed-comb-1000": reversed_comb(1000),
         "christoffel-377-233": christoffel(377, 233),
-        "(a^30b)^30b": Word(BINARY, ((0,) * 30 + (1,)) * 30 + (1,)),
+        "(a^30b)^30b": blocks(30, 30),
         "random-ab-1000": random_lyndon(rng, 1000, BINARY),
         "random-abc-500": random_lyndon(rng, 500, TERNARY),
     }
@@ -774,7 +779,7 @@ class TestLongComparisons:
         u, v = Word(BINARY, x * i), Word(BINARY, x * j)
         got = omega_cmp(u, v)
         assert got == omega_cmp_naive(u, v)
-        assert got.common_root.letters == x[:root_length_brute(x)]
+        assert got.common_root == Word(BINARY, x[:root_length_brute(x)])
 
     @given(st.data())
     def test_primitive_root(self, data):

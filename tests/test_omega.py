@@ -229,10 +229,7 @@ def test_extension_comparison_survives_finite_suffixes():
             continue
         pieces = [Word(BINARY)]
         for r in (1, 2, 3):
-            pieces.extend(
-                Word(BINARY, sum((c.letters for c in combo), ()))
-                for combo in product((u, v), repeat=r)
-            )
+            pieces.extend(sum(combo[1:], combo[0]) for combo in product((u, v), repeat=r))
         for s in pieces:
             for t in pieces:
                 n = len(u) + len(v) + len(s) + len(t)

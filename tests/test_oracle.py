@@ -33,6 +33,7 @@ from lyndonkit import (
 )
 
 from .strategies import BINARY, TERNARY, words
+from .test_cli import run_python
 from .test_trees import EXAMPLE_WORD, example_tree
 
 
@@ -191,6 +192,19 @@ class TestNaiveFactorization:
         assert time.perf_counter() - start < 30
 
 
+EMPTY_TREES = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from lyndonkit import OrderedAlphabet, Word, errors
+from lyndonkit import left_cartesian_tree_via_prefixes, left_lyndon_tree_naive
+for build in (left_lyndon_tree_naive, left_cartesian_tree_via_prefixes):
+    try:
+        build(Word(OrderedAlphabet("ab")))
+    except errors.EmptyWord:
+        print("EmptyWord")
+"""
+
+
 class TestNaiveTree:
     def test_examples(self):
         assert left_lyndon_tree_naive(make_word(EXAMPLE_WORD, TERNARY)) == example_tree()
@@ -200,6 +214,12 @@ class TestNaiveTree:
     def test_rejects_non_lyndon(self):
         with pytest.raises(errors.NotLyndon):
             left_lyndon_tree_naive(w("ba"))
+
+    def test_tree_oracles_reject_the_empty_word(self):
+        # In a child capped at 256 MiB of address space: without the guard,
+        # the naive builder splits the empty block forever, growing its stack.
+        done = run_python("-c", EMPTY_TREES, timeout=60)
+        assert done.stdout == "EmptyWord\n" * 2, done.stderr
 
     def test_agrees_with_fast_path_exhaustively(self):
         for word in enumerate_lyndon_words(BINARY, 9):
@@ -332,7 +352,7 @@ class TestVerifyWord:
         def lying(ep, es, total):
             k = _first_mismatch(ep, es, total)
             pair = (extension(p, total), extension(s, total))
-            if total == len(p) + len(s) and (ep[:total], es[:total]) == pair:
+            if total == len(p) + len(s) and (tuple(ep[:total]), tuple(es[:total])) == pair:
                 return k + 1
             return k
 
@@ -372,7 +392,7 @@ class TestVerifyWord:
 
         def flipped(u, v):
             six = real(u, v)
-            return six._replace(u_lt_vu=not six.u_lt_vu) if u.letters == (0, 0) else six
+            return six._replace(u_lt_vu=not six.u_lt_vu) if u == w("aa") else six
 
         monkeypatch.setattr(lyndonkit.oracle, "six_conditions", flipped)
         [failure] = verify_word(word).failures()
@@ -384,11 +404,11 @@ class TestVerifyWord:
 
         word = w("aabab")
         u, v = word[:2], word[2:]
-        link = ((u + v).letters, (v + u).letters)
+        link = (tuple((u + v).letters), tuple((v + u).letters))
         real = lyndonkit.omega._omega_order
 
         def broken(a, b):
-            return Ordering.GREATER if (a, b) == link else real(a, b)
+            return Ordering.GREATER if (tuple(a), tuple(b)) == link else real(a, b)
 
         monkeypatch.setattr(lyndonkit.omega, "_omega_order", broken)
         details = {c.name: c.detail for c in verify_word(word).failures()}

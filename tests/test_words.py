@@ -151,7 +151,7 @@ def make_word_outcome(chars, alphabet: OrderedAlphabet):
     except errors.UnknownSymbol as err:
         return ("unknown", err.position, err.character)
     assert word.alphabet is alphabet
-    return ("word", word.letters)
+    return ("word", tuple(word.letters))
 
 
 @st.composite
